@@ -11,22 +11,18 @@
 //!    finds *sources* (FP stores) and *sinks* (integer reads that may
 //!    observe them), degrading conservatively where static reasoning fails
 //!    — VSA "is not generally solvable" (§4.2);
-//! 3. [`liveness`] optionally prunes the sink set backward from integer
-//!    *observation points* (NSan-style): loads whose value never reaches
-//!    the integer world need no trap;
-//! 4. [`patch`] overwrites each sink with an explicit **correctness trap**
+//! 3. [`patch`] overwrites each sink with an explicit **correctness trap**
 //!    and emits the side table the runtime uses to demote-and-re-execute.
 //!
-//! The second-generation precision passes (flow-sensitive memory typing,
-//! k=1 context-sensitive summaries, backward box-liveness) are ablatable
-//! [`AnalysisConfig`] knobs measured by `reproduce --exp vsa2` (E19).
+//! Two [`AnalysisConfig`] knobs refine the sink set: allocation-site heap
+//! partitioning (measured by `reproduce --exp audit`, E14) and
+//! flow-sensitive memory typing (`reproduce --exp vsa2`, E19).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod audit;
 pub mod cfg;
-pub mod liveness;
 pub mod patch;
 pub mod vsa;
 

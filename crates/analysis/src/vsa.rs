@@ -19,33 +19,16 @@
 //!   and monotone by default: per-function frame slots, per-word and
 //!   per-object global sets, and the heap summary.
 //!
-//! Three second-generation precision passes layer on top, each an
-//! independently ablatable [`AnalysisConfig`] knob:
-//!
-//! 1. **Flow-sensitive memory typing** ([`AnalysisConfig::flow_mem`]):
-//!    per-program-point *kill sets* record slots/words whose last write was
-//!    a provably-integer store (a strong update), overriding the monotone
-//!    typing on the killed location. The pass also models the patch
-//!    contract: a sink load *is patched* and its trap demotes the box, so
-//!    the loaded register holds raw bits — this breaks the taint cascade
-//!    where one spurious heap sink used to re-taint every frame slot it
-//!    was spilled to. The model is only sound when every sink is actually
-//!    patched; the audit harness gates on zero skipped sinks.
-//! 2. **k=1 context-sensitive summaries** ([`AnalysisConfig::ctx_k1`]):
-//!    functions are analyzed per immediate call site with memoized
-//!    argument/return summaries ([`AVal`] six-tuples joined per context,
-//!    [`AVal::Bottom`] as the transfer identity). Two callers passing an
-//!    int pointer and an FP pointer stop conflating; memory effects still
-//!    flow through the shared typing, now marked with per-context argument
-//!    precision. Contexts beyond the k=1 horizon (a callee's own call
-//!    sites) are widened by joining all callers. If the context fixpoint
-//!    fails to converge the analysis falls back to the context-insensitive
-//!    mode, so the knob can only refine, never lose soundness.
-//! 3. **Backward box-liveness** ([`AnalysisConfig::liveness`], in
-//!    [`crate::liveness`]): sinks whose loaded value never reaches an
-//!    integer observation point (ALU use, compare/branch, external-call
-//!    argument, escaping store) are demoted — a dead reload or a value
-//!    that only flows back into FP context needs no correctness trap.
+//! One optional refinement layers on top of this forward pass:
+//! **flow-sensitive memory typing** ([`AnalysisConfig::flow_mem`]).
+//! Per-program-point *kill sets* record slots/words whose last write was a
+//! provably-integer store (a strong update), overriding the monotone typing
+//! on the killed location. The refinement also models the patch contract:
+//! a sink load *is patched* and its trap demotes the box, so the loaded
+//! register holds raw bits — this breaks the taint cascade where one
+//! spurious heap sink used to re-taint every frame slot it was spilled to.
+//! The model is only sound when every sink is actually patched; the audit
+//! harness gates on zero skipped sinks.
 //!
 //! Like the paper's tweaked VSA, unresolvable facts degrade conservatively:
 //! "if VSA returns a conservative result, FPVM follows suit and assumes
@@ -64,7 +47,6 @@
 //! them directly (§4.1).
 
 use crate::cfg::{Block, Cfg, Site};
-use crate::liveness::{self, ObservationFacts};
 use fpvm_machine::{AluOp, ExtFn, Gpr, Inst, Mem, Program, DATA_BASE, HEAP_BASE, XM};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -108,10 +90,10 @@ pub enum HeapModel {
     AllocSite,
 }
 
-/// Static analysis configuration (ablation knobs). Every knob defaults to
-/// the paper-faithful first-generation behavior; each can be enabled
-/// independently and the E19 harness measures every combination's
-/// precision/recall through the dynamic taint oracle.
+/// Static analysis configuration. Both knobs default to the paper-faithful
+/// first-generation behavior; the E14 (`heap`) and E19 (`flow_mem`)
+/// harnesses measure their precision/recall through the dynamic taint
+/// oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AnalysisConfig {
     /// Heap summarization model.
@@ -120,19 +102,11 @@ pub struct AnalysisConfig {
     /// (kill) a location's FP typing, and patched sinks are modeled as
     /// demoting (their result is raw bits, not a box).
     pub flow_mem: bool,
-    /// k=1 call-site-sensitive interprocedural argument/return summaries.
-    pub ctx_k1: bool,
-    /// Backward box-liveness: demote sinks whose value is never observed
-    /// by the integer world.
-    pub liveness: bool,
 }
 
 /// Abstract register / slot value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AVal {
-    /// The transfer-function identity: no value has reached here yet
-    /// (unrecorded context summaries start at ⊥ and join upward).
-    Bottom,
     Const(i64),
     /// Entry-rsp-relative stack address.
     Stack(i64),
@@ -157,7 +131,6 @@ impl AVal {
     fn join(self, other: AVal, objs: &ObjMap) -> AVal {
         use AVal::*;
         match (self, other) {
-            (Bottom, x) | (x, Bottom) => x,
             (a, b) if a == b => a,
             // A stack pointer taking distinct offsets (a strided frame
             // cursor) widens to the frame summary instead of ⊤ — the
@@ -484,8 +457,6 @@ pub struct AnalysisStats {
     pub blocks: usize,
     /// Functions.
     pub functions: usize,
-    /// Function contexts analyzed (equals `functions` without `ctx_k1`).
-    pub contexts: usize,
     /// Integer loads examined (unique sites).
     pub loads_total: usize,
     /// Integer loads proven safe (not patched).
@@ -494,9 +465,6 @@ pub struct AnalysisStats {
     pub rounds: usize,
     /// Sink instructions found by the analysis.
     pub sinks_found: usize,
-    /// Sinks demoted by the backward box-liveness pass (never observed by
-    /// the integer world); included in `loads_proven_safe`.
-    pub sinks_demoted_live: usize,
     /// Sinks actually patched with correctness traps (filled by the
     /// patcher; zero when only [`analyze`] ran).
     pub sinks_patched: usize,
@@ -530,20 +498,6 @@ impl FnCtx {
     }
 }
 
-/// A function analysis context: (entry, immediate call site). Site 0 is
-/// the root/unknown-caller context (⊤ arguments).
-type CtxKey = (u64, u64);
-
-/// k=1 call-site summaries: joined abstract arguments and return values,
-/// memoized per (callee, call site).
-struct CallState {
-    enabled: bool,
-    /// (callee, site) → joined [`INT_ARGS`] values at the site.
-    inputs: BTreeMap<CtxKey, [AVal; 6]>,
-    /// (callee, site) → joined abstract return value (RAX at `ret`).
-    rets: BTreeMap<CtxKey, AVal>,
-}
-
 /// Run the analysis on a program image with the paper-faithful default
 /// configuration (one-cell heap summary, first-generation passes only).
 pub fn analyze(p: &Program) -> Analysis {
@@ -554,121 +508,35 @@ pub fn analyze(p: &Program) -> Analysis {
 pub fn analyze_with(p: &Program, acfg: &AnalysisConfig) -> Analysis {
     let cfg = Cfg::build(p);
     let objs = ObjMap::new(p);
-    if acfg.ctx_k1 {
-        if let Some(an) = converge(&cfg, &objs, acfg, p.entry, true) {
-            return an;
-        }
-        // The k=1 context fixpoint hit the round cap: fall back to the
-        // always-converging context-insensitive mode (sound, less precise).
-    }
-    converge(&cfg, &objs, acfg, p.entry, false).expect("context-insensitive analysis terminates")
-}
-
-struct Env<'a> {
-    acfg: &'a AnalysisConfig,
-    objs: &'a ObjMap,
-}
-
-/// The contexts to analyze this round: root + every recorded call site +
-/// an unknown-caller fallback for functions nobody (yet) calls.
-fn round_contexts(
-    cfg: &Cfg,
-    calls: &CallState,
-    root: u64,
-    fallbacks: &BTreeSet<u64>,
-) -> Vec<CtxKey> {
-    if !calls.enabled {
-        return cfg.functions.iter().map(|&f| (f, 0)).collect();
-    }
-    let mut ctxs: BTreeSet<CtxKey> = BTreeSet::new();
-    ctxs.insert((root, 0));
-    for &key in calls.inputs.keys() {
-        if cfg.functions.contains(&key.0) {
-            ctxs.insert(key);
-        }
-    }
-    for &f in fallbacks {
-        ctxs.insert((f, 0));
-    }
-    ctxs.into_iter().collect()
-}
-
-fn converge(
-    cfg: &Cfg,
-    objs: &ObjMap,
-    acfg: &AnalysisConfig,
-    root: u64,
-    ctx_on: bool,
-) -> Option<Analysis> {
-    let env = Env { acfg, objs };
+    let env = Env { acfg, objs: &objs };
     let mut mem = MemTypes::default();
-    let mut calls = CallState {
-        enabled: ctx_on,
-        inputs: BTreeMap::new(),
-        rets: BTreeMap::new(),
-    };
-    let mut fn_ctxs: HashMap<CtxKey, FnCtx> = HashMap::new();
-    // Functions with no recorded caller after convergence of the called
-    // set: analyzed in the unknown-caller context for soundness (they may
-    // still run through computed control flow).
-    let mut fallbacks: BTreeSet<u64> = BTreeSet::new();
-    let max_rounds = if ctx_on { 24 } else { 16 };
-    // Outer fixpoint over the shared memory typing, frame typing, and
-    // (under ctx_k1) the call summaries.
+    let mut fn_ctxs: HashMap<u64, FnCtx> = HashMap::new();
+    // Outer fixpoint over the shared memory typing and frame typing.
     let mut rounds = 0;
-    let mut contexts;
     loop {
         rounds += 1;
         let before_mem = mem.clone();
-        let before_inputs = calls.inputs.clone();
-        let before_rets = calls.rets.clone();
-        let frames_before: BTreeMap<CtxKey, (usize, bool)> = fn_ctxs
+        let frames_before: BTreeMap<u64, (usize, bool)> = fn_ctxs
             .iter()
             .map(|(k, c)| (*k, (c.stack_fp.len(), c.stack_any)))
             .collect();
-        contexts = round_contexts(cfg, &calls, root, &fallbacks);
-        for &key in &contexts {
-            let ctx = fn_ctxs.entry(key).or_insert_with(FnCtx::new);
-            analyze_function(cfg, key, &env, &mut mem, ctx, &mut calls, None);
+        for &f in &cfg.functions {
+            let ctx = fn_ctxs.entry(f).or_insert_with(FnCtx::new);
+            analyze_function(&cfg, f, &env, &mut mem, ctx, None);
         }
-        let frames_after: BTreeMap<CtxKey, (usize, bool)> = fn_ctxs
+        let frames_after: BTreeMap<u64, (usize, bool)> = fn_ctxs
             .iter()
             .map(|(k, c)| (*k, (c.stack_fp.len(), c.stack_any)))
             .collect();
-        let stable = mem == before_mem
-            && frames_before == frames_after
-            && calls.inputs == before_inputs
-            && calls.rets == before_rets;
-        if stable {
-            if !ctx_on {
-                break;
-            }
-            // Pull in functions still uncalled at the fixpoint; loop again
-            // if that adds work, otherwise we are done.
-            let called: BTreeSet<u64> = calls.inputs.keys().map(|&(f, _)| f).collect();
-            let new_fb: Vec<u64> = cfg
-                .functions
-                .iter()
-                .copied()
-                .filter(|&f| f != root && !called.contains(&f) && !fallbacks.contains(&f))
-                .collect();
-            if new_fb.is_empty() {
-                break;
-            }
-            fallbacks.extend(new_fb);
-        }
-        if rounds > max_rounds {
-            if ctx_on {
-                return None;
-            }
+        if (mem == before_mem && frames_before == frames_after) || rounds > 16 {
             break;
         }
     }
     // Final pass: classify sinks with the converged typing.
     let mut col = SinkCollector::default();
-    for &key in &contexts {
-        let ctx = fn_ctxs.entry(key).or_insert_with(FnCtx::new);
-        analyze_function(cfg, key, &env, &mut mem, ctx, &mut calls, Some(&mut col));
+    for &f in &cfg.functions {
+        let ctx = fn_ctxs.entry(f).or_insert_with(FnCtx::new);
+        analyze_function(&cfg, f, &env, &mut mem, ctx, Some(&mut col));
     }
     // Blocks owned by no recovered function are reachable only through
     // computed control flow the CFG cannot see (e.g. `push addr; ret`);
@@ -679,7 +547,7 @@ fn converge(
         }
         for site in &block.insts {
             match site.inst {
-                Inst::Load { .. } => col.note_load(site, ALoc::Any, true),
+                Inst::Load { .. } => col.note_load(site, true),
                 Inst::MovQXG { .. } => col.note_sink(site, SinkReason::MovqLeak),
                 Inst::XorPd { .. } | Inst::AndPd { .. } | Inst::OrPd { .. } => {
                     col.note_sink(site, SinkReason::BitwiseFp)
@@ -688,48 +556,38 @@ fn converge(
             }
         }
     }
-    let mut sinks: Vec<Sink> = col.sinks.values().copied().collect();
-    let mut demoted = 0usize;
-    if acfg.liveness {
-        let facts = ObservationFacts {
-            load_slots: col.load_slots,
-            store_slots: col.store_slots,
-        };
-        let dead = liveness::demote_unobserved(cfg, &sinks, &facts);
-        demoted = dead.len();
-        sinks.retain(|s| !dead.contains(&s.addr));
-    }
+    let sinks: Vec<Sink> = col.sinks.into_values().collect();
     let loads_total = col.load_sink.len();
-    let loads_safe = col.load_sink.values().filter(|&&t| !t).count() + demoted;
+    let loads_safe = col.load_sink.values().filter(|&&t| !t).count();
     let sinks_found = sinks.len();
-    Some(Analysis {
+    Analysis {
         sinks,
         stats: AnalysisStats {
             instructions: cfg.inst_count,
             blocks: cfg.blocks.len(),
             functions: cfg.functions.len(),
-            contexts: contexts.len(),
             loads_total,
             loads_proven_safe: loads_safe,
             rounds,
             sinks_found,
-            sinks_demoted_live: demoted,
             sinks_patched: 0,
             sinks_skipped_table_full: 0,
             sinks_skipped_straddle: 0,
         },
-    })
+    }
 }
 
-/// Final-pass accumulator: per-site sink/safety verdicts (unioned across
-/// contexts) plus the slot resolutions the liveness pass consumes.
+struct Env<'a> {
+    acfg: &'a AnalysisConfig,
+    objs: &'a ObjMap,
+}
+
+/// Final-pass accumulator: per-site sink/safety verdicts.
 #[derive(Default)]
 struct SinkCollector {
     sinks: BTreeMap<u64, Sink>,
-    /// Load site → classified as a sink in any context.
+    /// Load site → classified as a sink.
     load_sink: BTreeMap<u64, bool>,
-    load_slots: BTreeMap<u64, Option<i64>>,
-    store_slots: BTreeMap<u64, Option<i64>>,
 }
 
 impl SinkCollector {
@@ -742,60 +600,29 @@ impl SinkCollector {
         });
     }
 
-    fn note_load(&mut self, site: &Site, loc: ALoc, taint: bool) {
+    fn note_load(&mut self, site: &Site, taint: bool) {
         let e = self.load_sink.entry(site.addr).or_insert(false);
         *e |= taint;
         if taint {
             self.note_sink(site, SinkReason::IntLoadOfFp);
         }
-        note_slot(&mut self.load_slots, site.addr, loc);
     }
-
-    fn note_store(&mut self, site: &Site, loc: ALoc) {
-        note_slot(&mut self.store_slots, site.addr, loc);
-    }
-}
-
-/// Record the exact frame slot a site touches; conflicting resolutions
-/// across contexts merge to `None` (imprecise — liveness stays safe).
-fn note_slot(map: &mut BTreeMap<u64, Option<i64>>, addr: u64, loc: ALoc) {
-    let slot = match loc {
-        ALoc::StackOff(o) => Some(o & !7),
-        _ => None,
-    };
-    map.entry(addr)
-        .and_modify(|e| {
-            if *e != slot {
-                *e = None;
-            }
-        })
-        .or_insert(slot);
 }
 
 fn analyze_function(
     cfg: &Cfg,
-    key: CtxKey,
+    entry: u64,
     env: &Env,
     mem: &mut MemTypes,
     ctx: &mut FnCtx,
-    calls: &mut CallState,
     mut collect: Option<&mut SinkCollector>,
 ) {
-    let (entry, ctxsite) = key;
     let blocks: Vec<&Block> = cfg.function_blocks(entry);
     if blocks.is_empty() {
         return;
     }
-    let mut start = RegState::entry();
-    if calls.enabled && ctxsite != 0 {
-        if let Some(args) = calls.inputs.get(&key) {
-            for (i, &r) in INT_ARGS.iter().enumerate() {
-                start.vals[r] = args[i];
-            }
-        }
-    }
     let mut states: HashMap<u64, RegState> = HashMap::new();
-    states.insert(entry, start);
+    states.insert(entry, RegState::entry());
     let mut worklist: Vec<u64> = vec![entry];
     let mut visits: HashMap<u64, usize> = HashMap::new();
     while let Some(b) = worklist.pop() {
@@ -814,16 +641,7 @@ fn analyze_function(
             continue;
         };
         for site in &block.insts {
-            transfer(
-                site,
-                &mut s,
-                env,
-                mem,
-                ctx,
-                calls,
-                key,
-                collect.as_deref_mut(),
-            );
+            transfer(site, &mut s, env, mem, ctx, collect.as_deref_mut());
         }
         for &succ in &block.succs {
             if cfg.block_fn.get(&succ) != Some(&entry) {
@@ -882,7 +700,7 @@ fn aval_to_loc(v: AVal, objs: &ObjMap) -> ALoc {
                 ALoc::Any
             }
         }
-        AVal::Bottom | AVal::Top => ALoc::Any,
+        AVal::Top => ALoc::Any,
     }
     .widen_if_needed(objs)
 }
@@ -910,27 +728,12 @@ impl WidenExt for ALoc {
 
 const CALLER_SAVED: [usize; 9] = [0, 1, 2, 6, 7, 8, 9, 10, 11]; // rax rcx rdx rsi rdi r8-r11
 
-/// Integer argument registers in ABI order: rdi rsi rdx rcx r8 r9.
-const INT_ARGS: [usize; 6] = [7, 6, 2, 1, 8, 9];
-
-/// Values crossing a call boundary lose frame-relative meaning (the
-/// callee's entry-RSP differs from the caller's).
-fn widen_frame_escape(v: AVal) -> AVal {
-    match v {
-        AVal::Stack(_) | AVal::StackAny => AVal::Top,
-        x => x,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
 fn transfer(
     site: &Site,
     s: &mut RegState,
     env: &Env,
     mem: &mut MemTypes,
     ctx: &mut FnCtx,
-    calls: &mut CallState,
-    cur: CtxKey,
     collect: Option<&mut SinkCollector>,
 ) {
     use Inst::*;
@@ -1016,7 +819,7 @@ fn transfer(
                 taint = false;
             }
             if let Some(c) = collect {
-                c.note_load(site, loc, taint);
+                c.note_load(site, taint);
             }
             let _ = w;
             s.vals[dst.0 as usize] = val;
@@ -1039,9 +842,6 @@ fn transfer(
                 && !matches!(loc, ALoc::StackOff(_) | ALoc::StackAny)
             {
                 ctx.stack_any = true;
-            }
-            if let Some(c) = collect {
-                c.note_store(site, loc);
             }
             store_slot(s, loc, s.vals[src.0 as usize], taint);
         }
@@ -1127,15 +927,7 @@ fn transfer(
             s.taint[dst.0 as usize] = taint;
             s.vals[rsp] = s.vals[rsp].add_const(8);
         }
-        Call { rel } => {
-            let target = (site.addr + u64::from(site.len)).wrapping_add(i64::from(*rel) as u64);
-            if calls.enabled {
-                let key = (target, site.addr);
-                let args = calls.inputs.entry(key).or_insert([AVal::Bottom; 6]);
-                for (i, &r) in INT_ARGS.iter().enumerate() {
-                    args[i] = args[i].join(widen_frame_escape(s.vals[r]), objs);
-                }
-            }
+        Call { .. } => {
             for &r in &CALLER_SAVED {
                 s.vals[r] = AVal::Top;
                 // Integer return values are not FP bits under the ABI
@@ -1143,23 +935,10 @@ fn transfer(
                 // assumption in DESIGN.md.
                 s.taint[r] = false;
             }
-            if calls.enabled {
-                // The memoized k=1 return summary; ⊥ until a `ret` is
-                // seen for this context (the outer fixpoint fills it in).
-                s.vals[Gpr::RAX.0 as usize] = calls
-                    .rets
-                    .get(&(target, site.addr))
-                    .copied()
-                    .unwrap_or(AVal::Bottom);
-            }
             if fm {
                 // The callee may FP-store through any pointer it holds.
                 s.kills = Kills::default();
             }
-        }
-        Ret if calls.enabled => {
-            let e = calls.rets.entry(cur).or_insert(AVal::Bottom);
-            *e = e.join(widen_frame_escape(s.vals[Gpr::RAX.0 as usize]), objs);
         }
         CallExt { f } => {
             let rax = Gpr::RAX.0 as usize;
@@ -1659,149 +1438,10 @@ mod tests {
     }
 
     #[test]
-    fn ctx_k1_keeps_argument_pointers_precise() {
-        // A helper stores FP through its pointer argument. Context-
-        // insensitively the argument is ⊤ and the store poisons all
-        // memory (any_fp); with k=1 summaries each call site's target is
-        // marked exactly and an unrelated integer global stays safe.
-        let mut a = Asm::new();
-        let fa = a.global_f64("fa", 0.0);
-        let fb = a.global_f64("fb", 0.0);
-        let gi = a.global("counter", 8);
-        let c = a.f64m(2.0);
-        let h = a.label();
-        a.movsd(Xmm(0), c);
-        a.mov_ri(Gpr::RDI, fa as i64);
-        a.call(h); // site 1: FP → fa
-        a.mov_ri(Gpr::RDI, fb as i64);
-        a.call(h); // site 2: FP → fb
-        a.mov_ri(Gpr::RAX, 3);
-        a.store(Mem::abs(gi as i64), Gpr::RAX);
-        a.load(Gpr::RBX, Mem::abs(gi as i64)); // unrelated int global
-        a.halt();
-        a.bind(h);
-        a.movsd(Mem::base_disp(Gpr::RDI, 0), Xmm(0));
-        a.ret();
-        let p = a.finish();
-        let base = analyze(&p);
-        assert!(
-            base.sinks
-                .iter()
-                .any(|s| s.reason == SinkReason::IntLoadOfFp),
-            "context-insensitive: the ⊤-argument store poisons everything"
-        );
-        let an = analyze_with(
-            &p,
-            &AnalysisConfig {
-                ctx_k1: true,
-                ..Default::default()
-            },
-        );
-        assert!(
-            !an.sinks.iter().any(|s| s.reason == SinkReason::IntLoadOfFp),
-            "k=1 contexts must keep the argument pointers exact: {:?}",
-            an.sinks
-        );
-        assert!(
-            an.stats.contexts >= 3,
-            "root + one context per call site: {}",
-            an.stats.contexts
-        );
-    }
-
-    #[test]
-    fn ctx_k1_tracks_return_values() {
-        // A helper returns a fresh allocation; the caller stores/loads
-        // integers through it. With alloc-site + k=1 return summaries the
-        // load is provably outside the FP-bearing allocation; without
-        // context the returned pointer is ⊤ and the load sinks.
-        let mut a = Asm::new();
-        let c = a.f64m(1.0);
-        let h = a.label();
-        a.mov_ri(Gpr::RDI, 16);
-        a.call_ext(ExtFn::AllocHeap); // site X (caller's own)
-        a.movsd(Xmm(0), c);
-        a.movsd(Mem::base_disp(Gpr::RAX, 0), Xmm(0)); // FP → X
-        a.call(h); // RAX ← fresh allocation from site Y
-        a.mov_ri(Gpr::RDX, 5);
-        a.store(Mem::base_disp(Gpr::RAX, 0), Gpr::RDX); // int → Y
-        a.load(Gpr::RCX, Mem::base_disp(Gpr::RAX, 0)); // int ← Y
-        a.halt();
-        a.bind(h);
-        a.mov_ri(Gpr::RDI, 16);
-        a.call_ext(ExtFn::AllocHeap); // site Y
-        a.ret();
-        let p = a.finish();
-        let base = analyze_with(
-            &p,
-            &AnalysisConfig {
-                heap: HeapModel::AllocSite,
-                ..Default::default()
-            },
-        );
-        assert!(
-            base.sinks
-                .iter()
-                .any(|s| s.reason == SinkReason::IntLoadOfFp),
-            "without return summaries the helper's pointer is ⊤"
-        );
-        let an = analyze_with(
-            &p,
-            &AnalysisConfig {
-                heap: HeapModel::AllocSite,
-                ctx_k1: true,
-                ..Default::default()
-            },
-        );
-        assert!(
-            !an.sinks.iter().any(|s| s.reason == SinkReason::IntLoadOfFp),
-            "the k=1 return summary must carry the allocation site: {:?}",
-            an.sinks
-        );
-    }
-
-    #[test]
-    fn ctx_k1_horizon_joins_distinct_callers() {
-        // Two sites pass an FP pointer and an int pointer; the helper
-        // *loads* through the argument. The load site is shared, so the
-        // union over contexts must keep it a sink (soundness at the k=1
-        // horizon: one tainted context taints the shared instruction).
-        let mut a = Asm::new();
-        let fa = a.global_f64("fa", 0.0);
-        let gi = a.global("gi", 8);
-        let c = a.f64m(2.0);
-        let h = a.label();
-        a.movsd(Xmm(0), c);
-        a.movsd(Mem::abs(fa as i64), Xmm(0));
-        a.mov_ri(Gpr::RAX, 3);
-        a.store(Mem::abs(gi as i64), Gpr::RAX);
-        a.mov_ri(Gpr::RDI, fa as i64);
-        a.call(h); // context 1: loads FP bits
-        a.mov_ri(Gpr::RDI, gi as i64);
-        a.call(h); // context 2: loads an integer
-        a.halt();
-        a.bind(h);
-        a.load(Gpr::RAX, Mem::base_disp(Gpr::RDI, 0));
-        a.ret();
-        let p = a.finish();
-        let an = analyze_with(
-            &p,
-            &AnalysisConfig {
-                ctx_k1: true,
-                ..Default::default()
-            },
-        );
-        assert!(
-            an.sinks.iter().any(|s| s.reason == SinkReason::IntLoadOfFp),
-            "a load tainted in any context must remain a sink"
-        );
-    }
-
-    #[test]
-    fn all_passes_compose_and_only_refine() {
-        // Every ablation config on a program mixing all the patterns:
-        // sink sets must be subsets of the baseline (refinement only) and
-        // the genuinely-boxed load must sink in every config.
+    fn flow_mem_composes_and_only_refines() {
+        // Both heap models with flow_mem on a program mixing all the
+        // patterns: sink sets must be subsets of the baseline (refinement
+        // only) and the genuinely-boxed load must sink in every config.
         let mut a = Asm::new();
         let g = a.global("relay", 8);
         let c = a.f64m(2.5);
@@ -1818,24 +1458,17 @@ mod tests {
         let p = a.finish();
         let base = analyze(&p);
         let base_addrs: Vec<u64> = base.sinks.iter().map(|s| s.addr).collect();
-        for (fmem, ctx, live) in [
-            (true, false, false),
-            (false, true, false),
-            (false, false, true),
-            (true, true, true),
-        ] {
+        for heap in [HeapModel::OneCell, HeapModel::AllocSite] {
             let an = analyze_with(
                 &p,
                 &AnalysisConfig {
-                    heap: HeapModel::AllocSite,
-                    flow_mem: fmem,
-                    ctx_k1: ctx,
-                    liveness: live,
+                    heap,
+                    flow_mem: true,
                 },
             );
             assert!(
                 an.sinks.iter().all(|s| base_addrs.contains(&s.addr)),
-                "config ({fmem},{ctx},{live}) added a sink beyond baseline"
+                "flow_mem under {heap:?} added a sink beyond baseline"
             );
             assert!(
                 an.sinks.iter().any(|s| s.reason == SinkReason::IntLoadOfFp),

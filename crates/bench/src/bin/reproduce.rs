@@ -67,10 +67,7 @@ const EXPERIMENTS: &[(&str, &str)] = &[
         "audit",
         "E14: dynamic taint oracle vs static sink set (soundness gate)",
     ),
-    (
-        "vsa2",
-        "E19: second-generation VSA ablation — flow/ctx/liveness passes",
-    ),
+    ("vsa2", "E19: VSA ablation — flow-sensitive memory typing"),
     ("loc", "§5.5: lines-of-code inventory"),
     (
         "trace",
@@ -272,19 +269,19 @@ fn main() {
             eprintln!("VSA2 ACCOUNTING DRIFT: deterministic Fig. 9 accounting moved with the analysis config");
             std::process::exit(1);
         }
-        if r.enzo_all_sinks > r.enzo_baseline_sinks {
+        if r.enzo_flow_sinks > r.enzo_baseline_sinks {
             eprintln!(
-                "VSA2 REFINEMENT FAILED: Enzo sinks grew under all passes ({} -> {})",
-                r.enzo_baseline_sinks, r.enzo_all_sinks
+                "VSA2 REFINEMENT FAILED: Enzo sinks grew under +flow ({} -> {})",
+                r.enzo_baseline_sinks, r.enzo_flow_sinks
             );
             std::process::exit(1);
         }
         // The headline precision win is only meaningful at full problem
         // size (Tiny runs exercise fewer sites).
-        if size == Size::S && r.enzo_all_spurious >= 15 {
+        if size == Size::S && r.enzo_flow_spurious >= 15 {
             eprintln!(
                 "VSA2 PRECISION FAILED: Enzo spurious sinks did not drop below 15 (got {})",
-                r.enzo_all_spurious
+                r.enzo_flow_spurious
             );
             std::process::exit(1);
         }
