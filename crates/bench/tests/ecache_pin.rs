@@ -1,37 +1,29 @@
 //! Pins the Fig. 9 cycle accounting across emulate-cache modes: the
-//! deterministic view of a run must be bit-identical whether the emulate
-//! cache is on (direct-mapped), off (`emulate_cache: false`, bind every
-//! trap), or an enabled-but-never-caching passthrough policy — and
-//! whether the engine is fresh or recycled. The cache may only move host
-//! wall time, never a deterministic stat.
+//! deterministic view of a run must be bit-identical whether the trap
+//! cache memoizes bound plans (`emulate_cache: true`) or not (bind every
+//! trap). The plan may only move host wall time, never a deterministic
+//! stat.
 
 use fpvm_arith::BigFloatCtx;
-use fpvm_bench::{run_hybrid, run_hybrid_with};
-use fpvm_core::{FpvmConfig, PassthroughEmulateCache, Stats};
+use fpvm_bench::run_hybrid;
+use fpvm_core::{FpvmConfig, Stats};
 use fpvm_machine::{CostModel, OutputEvent};
 use fpvm_workloads::{fbench, lorenz, Size, Workload};
 
-fn run_mode(w: &Workload, cfg: FpvmConfig, passthrough: bool) -> (Stats, Vec<OutputEvent>) {
-    let (report, out, _) =
-        run_hybrid_with(w, BigFloatCtx::new(200), CostModel::r815(), cfg, |vm| {
-            if passthrough {
-                vm.set_emulate_cache(Box::new(PassthroughEmulateCache));
-            }
-        });
+fn run_mode(w: &Workload, cfg: FpvmConfig) -> (Stats, Vec<OutputEvent>) {
+    let (report, out, _) = run_hybrid(w, BigFloatCtx::new(200), CostModel::r815(), cfg);
     (report.stats, out)
 }
 
 fn pin_workload(w: &Workload) {
-    let (s_on, out_on) = run_mode(w, FpvmConfig::default(), false);
+    let (s_on, out_on) = run_mode(w, FpvmConfig::default());
     let (s_off, out_off) = run_mode(
         w,
         FpvmConfig {
             emulate_cache: false,
             ..FpvmConfig::default()
         },
-        false,
     );
-    let (s_pass, out_pass) = run_mode(w, FpvmConfig::default(), true);
 
     let base = s_on.deterministic_view();
     assert_eq!(
@@ -40,16 +32,9 @@ fn pin_workload(w: &Workload) {
         "{}: ecache off moved a deterministic stat",
         w.name
     );
-    assert_eq!(
-        s_pass.deterministic_view(),
-        base,
-        "{}: passthrough ecache policy moved a deterministic stat",
-        w.name
-    );
     assert_eq!(out_off, out_on, "{}: guest output diverged (off)", w.name);
-    assert_eq!(out_pass, out_on, "{}: guest output diverged (pass)", w.name);
-    // The accounting replay on the hit path books hits, not misses: the
-    // decode counters are identical in all three modes.
+    // A plan-carrying hit books a decode hit, not a miss: the decode
+    // counters are identical in both modes.
     assert_eq!(s_off.decode_hits, s_on.decode_hits, "{}", w.name);
     assert_eq!(s_off.decode_misses, s_on.decode_misses, "{}", w.name);
 }

@@ -229,7 +229,7 @@ fn packed2(op: ScalarOp, dst: Xmm, src: &XM, lane: u8) -> PlanLane {
 
 /// Derive the machine-independent binding plan of an instruction. The
 /// single source of truth for operand shapes: [`bind`] is implemented as
-/// `plan(..).resolve(m)`, and the emulate cache memoizes the `Static`
+/// `plan(..).resolve(m)`, and the trap cache memoizes the `Static`
 /// plans per RIP so hot traps skip this match entirely.
 pub fn plan(inst: &Inst, next_rip: u64) -> Planability {
     use Inst::*;

@@ -7,15 +7,13 @@ use fpvm_machine::{DeliveryMode, DEFAULT_BLOCK_CAP};
 pub struct FpvmConfig {
     /// How traps reach the runtime (cost model only; §6).
     pub delivery: DeliveryMode,
-    /// Enable the decode cache (§5.3 footnote 8 ablation).
+    /// Fill the trap cache with decoded instructions (§5.3 footnote 8
+    /// ablation: off, every trap pays a full decode).
     pub decode_cache: bool,
-    /// Enable the emulate cache: memoize the decoded *and bound* operand
-    /// plan per RIP so hot traps skip the bind stage's instruction-shape
-    /// match. Only effective when `decode_cache` is also on (the fast path
-    /// reuses the decode cache's hit/miss accounting, and disabling the
-    /// decode cache is the every-trap-pays-full-decode ablation). Cycle
-    /// accounting is bit-identical on/off — the cache changes host work
-    /// only.
+    /// Also memoize each statically bound operand plan in the trap cache,
+    /// so hot traps skip the bind stage's instruction-shape match. Only
+    /// effective when `decode_cache` is also on. Cycle accounting is
+    /// bit-identical on/off — the plan changes host work only.
     pub emulate_cache: bool,
     /// Interpose libm calls onto the arithmetic system (the math wrapper).
     pub interpose_math: bool,

@@ -87,7 +87,7 @@ impl<A: ArithSystem> Fpvm<A> {
         let dispatch = m.cost.correctness_dispatch(false, self.config.delivery);
         self.acct
             .charge(m, Component::CorrectnessDispatch, dispatch);
-        let (inst, len) = self.decode_at(m, rip)?;
+        let (inst, len, _) = self.decode_at(m, rip)?;
         let t = Instant::now();
         let demoted = self.demote_operands(m, &inst);
         if demoted > 0 {

@@ -331,7 +331,7 @@ impl<A: ArithSystem> Fpvm<A> {
 
     /// The back half of the emulate stage, entered with operands already
     /// bound — either freshly (via [`Fpvm::emulate`]) or from a cached
-    /// plan resolved by the emulate-cache fast path. Both entries charge
+    /// plan resolved from the trap cache. Both entries charge
     /// and trace identically from here on.
     pub(crate) fn emulate_bound(&mut self, m: &mut Machine, b: &Bound) -> Result<(), ExitReason> {
         let trap_rip = m.rip;

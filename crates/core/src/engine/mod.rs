@@ -6,8 +6,8 @@
 //! 1. It unmasks every `%mxcsr` exception, so any rounding, overflow,
 //!    underflow, denormal or NaN event faults into the runtime
 //!    ([`Fpvm::run`] ↔ the SIGFPE handler).
-//! 2. On a trap it decodes the faulting instruction (through a pluggable
-//!    [`DecodeCache`]), **binds** its operands, **emulates** it on the
+//! 2. On a trap it decodes the faulting instruction (through the
+//!    per-RIP [`TrapCache`]), **binds** its operands, **emulates** it on the
 //!    alternative arithmetic system, NaN-boxes the result, clears the
 //!    sticky condition flags, and resumes after the instruction. One
 //!    trap's lifecycle is a [`TrapFrame`]; the stages live in
@@ -26,10 +26,9 @@
 //! charged through one [`Accounting`] sink.
 
 pub mod accounting;
+pub mod cache;
 pub mod config;
 mod correctness;
-pub mod decode;
-pub mod ecache;
 mod emulate;
 pub mod exit;
 mod external;
@@ -38,10 +37,9 @@ pub mod handlers;
 mod patch;
 
 pub use accounting::{Accounting, Counter};
+pub use cache::TrapCache;
 pub use config::FpvmConfig;
 pub use correctness::SideTableEntry;
-pub use decode::{DecodeCache, DirectMappedCache, HashMapCache, PassthroughCache};
-pub use ecache::{DirectMappedEmulateCache, EmulateCache, EmulateEntry, PassthroughEmulateCache};
 pub use emulate::{Binder, Committer, LaneOutcome};
 pub use exit::{ExitReason, RuntimeError, Stage};
 pub use frame::TrapFrame;
@@ -114,7 +112,7 @@ fn commas(n: u64) -> String {
 
 /// The FPVM runtime, generic over the alternative arithmetic system.
 ///
-/// The runtime owns everything it touches — arena, decode cache,
+/// The runtime owns everything it touches — arena, trap cache,
 /// accounting, trace sink — so `Fpvm<A>` is [`Send`] whenever the
 /// arithmetic system and its values are (all in-tree backends qualify;
 /// `crates/core/tests/send.rs` compile-asserts it). A fleet worker can
@@ -129,9 +127,8 @@ pub struct Fpvm<A: ArithSystem> {
     /// Runtime configuration.
     pub config: FpvmConfig,
     pub(crate) acct: Accounting,
-    pub(crate) cache: Box<dyn DecodeCache>,
-    /// The emulate cache: decoded + bound plans per RIP (see [`ecache`]).
-    pub(crate) ecache: Box<dyn EmulateCache>,
+    /// Decoded instructions and bound plans per RIP (see [`cache`]).
+    pub(crate) cache: TrapCache,
     pub(crate) side_table: Vec<SideTableEntry>,
     pub(crate) patches: patch::PatchTable,
     pub(crate) patch_allow: Option<HashSet<u64>>,
@@ -151,16 +148,6 @@ pub struct Fpvm<A: ArithSystem> {
 impl<A: ArithSystem> Fpvm<A> {
     /// Create a runtime over the given arithmetic system.
     pub fn new(arith: A, config: FpvmConfig) -> Self {
-        let cache: Box<dyn DecodeCache> = if config.decode_cache {
-            Box::new(DirectMappedCache::new())
-        } else {
-            Box::new(PassthroughCache)
-        };
-        let ecache: Box<dyn EmulateCache> = if config.emulate_cache {
-            Box::new(DirectMappedEmulateCache::new())
-        } else {
-            Box::new(PassthroughEmulateCache)
-        };
         let mut acct = Accounting::new();
         if config.metrics {
             acct.set_metrics(crate::metrics::EngineMetrics::new(
@@ -172,8 +159,7 @@ impl<A: ArithSystem> Fpvm<A> {
             arena: ShadowArena::new(),
             config,
             acct,
-            cache,
-            ecache,
+            cache: TrapCache::new(),
             side_table: Vec::new(),
             patches: patch::PatchTable::default(),
             patch_allow: None,
@@ -203,27 +189,6 @@ impl<A: ArithSystem> Fpvm<A> {
     /// Install the correctness-trap side table (from the static patcher).
     pub fn set_side_table(&mut self, table: Vec<SideTableEntry>) {
         self.side_table = table;
-    }
-
-    /// Replace the decode-cache policy (benchmarks compare
-    /// [`DirectMappedCache`] against [`HashMapCache`] this way).
-    pub fn set_decode_cache(&mut self, cache: Box<dyn DecodeCache>) {
-        self.cache = cache;
-    }
-
-    /// The decode-cache policy's name.
-    pub fn decode_cache_name(&self) -> &'static str {
-        self.cache.name()
-    }
-
-    /// Replace the emulate-cache policy (benchmarks and the E17 ablation).
-    pub fn set_emulate_cache(&mut self, cache: Box<dyn EmulateCache>) {
-        self.ecache = cache;
-    }
-
-    /// The emulate-cache policy's name.
-    pub fn emulate_cache_name(&self) -> &'static str {
-        self.ecache.name()
     }
 
     /// The event-routing table, for registering custom handlers.
@@ -287,14 +252,6 @@ impl<A: ArithSystem> Fpvm<A> {
         }
     }
 
-    /// Drop the entry at `rip` from both the decode and emulate caches
-    /// (trap-and-patch rewrote the site; a cached decode *or* plan would
-    /// replay the pre-patch instruction).
-    pub(crate) fn invalidate_site(&mut self, rip: u64) {
-        self.cache.invalidate(rip);
-        self.ecache.invalidate(rip);
-    }
-
     /// Reset the engine for reuse with its current configuration: same as
     /// [`Fpvm::recycle`].
     pub fn reset(&mut self) {
@@ -305,25 +262,11 @@ impl<A: ArithSystem> Fpvm<A> {
     /// run state — stats, arena, side table, patch table, caches, rendered
     /// output — is cleared so a recycled engine behaves bit-identically to
     /// a fresh [`Fpvm::new`], while the big allocations (cache slot
-    /// arrays, arena slab, scratch buffers) are retained. The cache epoch
+    /// array, arena slab, scratch buffers) are retained. The cache epoch
     /// is bumped so no cache entry survives into the next job even when
     /// the program happens to be identical — merged fleet stats must not
     /// depend on which jobs shared a worker.
     pub fn recycle(&mut self, config: FpvmConfig) {
-        if config.decode_cache != self.config.decode_cache {
-            self.cache = if config.decode_cache {
-                Box::new(DirectMappedCache::new())
-            } else {
-                Box::new(PassthroughCache)
-            };
-        }
-        if config.emulate_cache != self.config.emulate_cache {
-            self.ecache = if config.emulate_cache {
-                Box::new(DirectMappedEmulateCache::new())
-            } else {
-                Box::new(PassthroughEmulateCache)
-            };
-        }
         self.config = config;
         self.acct.reset_stats();
         let _ = self.acct.take_metrics();
@@ -362,9 +305,7 @@ impl<A: ArithSystem> Fpvm<A> {
         // program, or a recycled engine — starts cold.
         let fingerprint =
             m.code_fingerprint() ^ self.cache_epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let code_len = m.mem.code_bytes().len();
-        self.cache.prepare(code_len, fingerprint);
-        self.ecache.prepare(code_len, fingerprint);
+        self.cache.prepare(m.mem.code_bytes().len(), fingerprint);
         let exit = loop {
             if m.icount >= self.config.max_insts {
                 break ExitReason::Fault(Fault::Budget);

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 /// One dynamically patched site: the original instruction the patch
 /// replaced, the resume point after it, and — for statically plannable
 /// shapes — its memoized bound-operand plan, so patch-call slow paths
-/// skip the bind stage's instruction-shape match just like the emulate
+/// skip the bind stage's instruction-shape match just like the trap
 /// cache does for traps.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TpSite {
@@ -125,7 +125,8 @@ impl<A: ArithSystem> Fpvm<A> {
         }
         m.patch_code(rip, &bytes);
         self.scratch_code = bytes;
-        self.invalidate_site(rip);
+        // A cached decode or plan would replay the pre-patch instruction.
+        self.cache.invalidate(rip);
         self.patches
             .insert(id, rip, TpSite::new(frame.inst, frame.next_rip()));
         self.acct.tally(Counter::SitesPatched);

@@ -53,9 +53,8 @@ pub use bound::{
     bind, plan, Bound, BoundLane, BoundPlan, Dst, Loc, PlanLane, PlanLoc, Planability,
 };
 pub use engine::{
-    Accounting, Counter, DecodeCache, DirectMappedCache, DirectMappedEmulateCache, EmulateCache,
-    EmulateEntry, ExitReason, Fpvm, FpvmConfig, HandlerTable, HashMapCache, PassthroughCache,
-    PassthroughEmulateCache, RunReport, RuntimeError, SideTableEntry, Stage, TrapFrame,
+    Accounting, Counter, ExitReason, Fpvm, FpvmConfig, HandlerTable, RunReport, RuntimeError,
+    SideTableEntry, Stage, TrapFrame,
 };
 pub use metrics::{EngineMetrics, MetricStage};
 pub use profile::{ArenaSample, Log2Histogram, ProfilerSink, SiteProfile};

@@ -1,14 +1,10 @@
-//! Integration tests for the staged engine surface: decode-cache
-//! invalidation under trap-and-patch, structured runtime errors, handler
-//! registration, and stats derived through real runs.
+//! Integration tests for the staged engine surface: structured runtime
+//! errors, handler registration, and stats derived through real runs.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
 use fpvm_arith::Vanilla;
-use fpvm_core::runtime::{
-    DecodeCache, DirectMappedCache, ExitReason, Fpvm, FpvmConfig, RuntimeError, Stage,
-};
+use fpvm_core::runtime::{ExitReason, Fpvm, FpvmConfig, RuntimeError, Stage};
 use fpvm_machine::{AluOp, Asm, Cond, CostModel, ExtFn, Gpr, Inst, Machine, TrapKind, Xmm, XM};
 
 /// Iterated logistic map x <- r·x·(1−x): every iteration rounds, so every
@@ -35,82 +31,6 @@ fn logistic_program(iters: i64) -> fpvm_machine::Program {
     a.bind(done);
     a.halt();
     a.finish()
-}
-
-/// A decode cache that records every invalidation, delegating storage to
-/// the real direct-mapped policy. The shared log is `Arc<Mutex<_>>`, not
-/// `Rc<RefCell<_>>`: `DecodeCache: Send` so caches can cross into fleet
-/// workers, and custom caches must satisfy the same bound.
-struct SpyCache {
-    inner: DirectMappedCache,
-    invalidated: Arc<Mutex<Vec<u64>>>,
-}
-
-impl DecodeCache for SpyCache {
-    fn prepare(&mut self, code_len: usize, fingerprint: u64) {
-        self.inner.prepare(code_len, fingerprint);
-    }
-    fn lookup(&self, rip: u64) -> Option<(Inst, u8)> {
-        self.inner.lookup(rip)
-    }
-    fn insert(&mut self, rip: u64, entry: (Inst, u8)) {
-        self.inner.insert(rip, entry);
-    }
-    fn invalidate(&mut self, rip: u64) {
-        self.invalidated.lock().unwrap().push(rip);
-        self.inner.invalidate(rip);
-    }
-    fn name(&self) -> &'static str {
-        "spy"
-    }
-}
-
-/// Trap-and-patch must invalidate the decode cache at every site it
-/// rewrites: the cached entry predates the patch, so a later decode at
-/// that rip would resurrect the original instruction (the old
-/// `decode_cache.remove(&rip)` in the monolithic runtime).
-#[test]
-fn trap_and_patch_invalidates_decode_cache_at_patched_sites() {
-    let p = logistic_program(50);
-    let cfg = FpvmConfig {
-        trap_and_patch: true,
-        ..FpvmConfig::default()
-    };
-    let mut m = Machine::new(CostModel::r815());
-    m.load_program(&p);
-    let mut fpvm = Fpvm::new(Vanilla, cfg);
-    let invalidated = Arc::new(Mutex::new(Vec::new()));
-    fpvm.set_decode_cache(Box::new(SpyCache {
-        inner: DirectMappedCache::new(),
-        invalidated: Arc::clone(&invalidated),
-    }));
-    let report = fpvm.run(&mut m);
-    assert_eq!(report.exit, ExitReason::Halted);
-    let sites = report.stats.sites_patched;
-    assert!(sites >= 2, "loop FP sites must be patched, got {sites}");
-    let inv = invalidated.lock().unwrap();
-    assert_eq!(
-        inv.len() as u64,
-        sites,
-        "each patched site must invalidate its cache entry exactly once"
-    );
-    // The invalidated entries are really gone, and the machine's code at
-    // those addresses now decodes as a patch trap, not the stale FP op.
-    for &rip in inv.iter() {
-        assert_eq!(fpvm.decode_cache_name(), "spy");
-        let off = (rip - fpvm_machine::CODE_BASE) as usize;
-        let (inst, _) = fpvm_machine::decode(m.mem.code_bytes(), off).unwrap();
-        assert!(
-            matches!(
-                inst,
-                Inst::Trap {
-                    kind: TrapKind::PatchCall,
-                    ..
-                }
-            ),
-            "patched site at {rip:#x} decodes as {inst:?}"
-        );
-    }
 }
 
 /// A software trap with no side-table entry exits with a structured
@@ -230,7 +150,7 @@ fn stats_derivations_match_cost_model_through_real_run() {
     assert_eq!(fpvm.stats().cycles, s.cycles);
 }
 
-/// The direct-mapped cache and the ablation (passthrough) agree on
+/// The trap cache and the `decode_cache: false` ablation agree on
 /// results; only costs differ — and the ablation's misses equal its traps.
 #[test]
 fn decode_cache_ablation_still_functional() {
@@ -240,15 +160,13 @@ fn decode_cache_ablation_still_functional() {
         m.load_program(&p);
         let mut fpvm = Fpvm::new(Vanilla, cfg);
         let r = fpvm.run(&mut m);
-        (r, m.output, fpvm.decode_cache_name())
+        (r, m.output)
     };
-    let (on, out_on, name_on) = run(FpvmConfig::default());
-    let (off, out_off, name_off) = run(FpvmConfig {
+    let (on, out_on) = run(FpvmConfig::default());
+    let (off, out_off) = run(FpvmConfig {
         decode_cache: false,
         ..FpvmConfig::default()
     });
-    assert_eq!(name_on, "direct-mapped");
-    assert_eq!(name_off, "passthrough");
     assert_eq!(out_on, out_off);
     assert_eq!(off.stats.decode_hits, 0);
     assert_eq!(off.stats.decode_misses, off.stats.fp_traps);

@@ -2,7 +2,7 @@
 //! [`Send`] — the property the `fpvm-fleet` sharded runner is built on.
 //!
 //! These are pure type-level checks: if any field of [`Fpvm`] (the boxed
-//! trace sink, the boxed decode cache, the shadow arena, …) regresses to a
+//! trace sink, the trap cache, the shadow arena, …) regresses to a
 //! non-`Send` type such as `Rc<RefCell<_>>`, this test stops compiling,
 //! which is exactly the failure mode we want — at the build, not in a
 //! worker at runtime.
@@ -10,7 +10,7 @@
 use fpvm_arith::{AdaptiveCtx, BigFloatCtx, PositCtx, Vanilla};
 use fpvm_core::profile::ProfilerSink;
 use fpvm_core::trace::{FanoutSink, NullSink, RingBufferSink, TraceSink};
-use fpvm_core::{DecodeCache, Fpvm};
+use fpvm_core::Fpvm;
 use fpvm_machine::Machine;
 
 fn assert_send<T: Send>() {}
@@ -27,10 +27,9 @@ fn engine_and_machine_are_send() {
 }
 
 #[test]
-fn sink_and_cache_trait_objects_are_send() {
-    // The boxed forms held inside `Fpvm` / `Accounting`.
+fn sink_trait_objects_are_send() {
+    // The boxed form held inside `Accounting`.
     assert_send::<Box<dyn TraceSink>>();
-    assert_send::<Box<dyn DecodeCache>>();
     // Every concrete sink that crosses a worker boundary in the fleet.
     assert_send::<NullSink>();
     assert_send::<RingBufferSink>();
