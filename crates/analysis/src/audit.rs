@@ -36,14 +36,16 @@ pub struct SiteDyn {
     pub traps: u64,
     /// Traps that demoted at least one live box.
     pub demotions: u64,
-    /// Total dispatch + handler cycles charged at this site.
+    /// Cycles charged at this site, as booked by [`SiteDyn::record`].
     pub cycles: u64,
     /// Cycles charged by traps that demoted nothing.
     pub wasted_cycles: u64,
 }
 
 impl SiteDyn {
-    /// Fold one trap event into the accumulator.
+    /// Fold one trap event into the accumulator. Pass modeled cycles
+    /// (dispatch plus the modeled handler check) to get a deterministic
+    /// `wasted_cycles`; the event's measured handler time varies by run.
     pub fn record(&mut self, demoted: bool, cycles: u64) {
         self.traps += 1;
         self.cycles += cycles;
