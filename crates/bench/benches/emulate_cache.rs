@@ -1,11 +1,10 @@
 //! Emulate-cache microbenchmarks: the per-trap cost of a full `bind`
 //! (decode-derived operand walk + effective-address resolution) against
 //! resolving a memoized [`BoundPlan`], plus the end-to-end effect of the
-//! emulate cache (on / off / passthrough policy) on a real trapping
-//! workload.
+//! emulate cache (on / off) on a real trapping workload.
 //!
-//! The emulate cache stores the decoded instruction *and* its bound
-//! operand plan per rip, so a hot trap replaces the bind stage with
+//! With `emulate_cache` on, the trap cache stores the decoded instruction
+//! *and* its bound operand plan per rip, so a hot trap replaces the bind stage with
 //! `plan.resolve(m)` — only memory operands re-derive their effective
 //! address. This bench demonstrates the resolve path beats bind-every-trap
 //! (the acceptance gate for the cache's existence).
