@@ -21,6 +21,10 @@
 //! multiplication schoolbook `O(n²)` (with a Karatsuba layer), division and
 //! square root are built on the same primitives — which is what the Fig. 11
 //! precision-sweep experiment characterizes.
+//!
+//! Mantissas up to 512 bits live inline in the value and every kernel works
+//! in stack buffers (see [`limb`]), so at the paper's 200 bits no operation
+//! or conversion allocates.
 
 pub mod limb;
 mod transcendental;
@@ -29,6 +33,7 @@ pub use transcendental::*;
 
 use crate::flags::{FpFlags, Round};
 use crate::softfp::CmpResult;
+use limb::{shift_left_into, shift_right_into, LimbBuf, Scratch, MANT_INLINE};
 use std::cmp::Ordering;
 
 mod ctx;
@@ -47,13 +52,16 @@ pub enum Kind {
     Nan,
 }
 
+/// Mantissa storage: inline up to [`MANT_INLINE`] limbs.
+type Mant = LimbBuf<MANT_INLINE>;
+
 /// An arbitrary-precision binary floating point number.
 #[derive(Debug, Clone)]
 pub struct BigFloat {
     sign: bool,
     kind: Kind,
     exp: i64,
-    mant: Vec<u64>,
+    mant: Mant,
     prec: u32,
 }
 
@@ -67,7 +75,7 @@ impl BigFloat {
             sign,
             kind: Kind::Zero,
             exp: 0,
-            mant: vec![0],
+            mant: Mant::zeroed(1),
             prec,
         }
     }
@@ -78,7 +86,7 @@ impl BigFloat {
             sign,
             kind: Kind::Inf,
             exp: 0,
-            mant: vec![0],
+            mant: Mant::zeroed(1),
             prec,
         }
     }
@@ -89,7 +97,7 @@ impl BigFloat {
             sign: false,
             kind: Kind::Nan,
             exp: 0,
-            mant: vec![0],
+            mant: Mant::zeroed(1),
             prec,
         }
     }
@@ -124,7 +132,7 @@ impl BigFloat {
             if up {
                 // Smallest representable magnitude above 0 at this unit:
                 // 1 × 2^unit_exp scaled down to prec bits.
-                let mut m = vec![0u64; (prec as usize).div_ceil(64)];
+                let mut m = Mant::zeroed((prec as usize).div_ceil(64));
                 let top = (prec - 1) as usize;
                 m[top / 64] = 1 << (top % 64);
                 let v = BigFloat {
@@ -141,7 +149,7 @@ impl BigFloat {
         let bitlen = total_bits - u64::from(lz); // number of significant bits
         let nlimbs = (prec as usize).div_ceil(64);
         let exp = unit_exp + bitlen as i64; // value in [2^(exp-1), 2^exp)
-        let mut m;
+        let mut m: Mant;
         let mut inexact = sticky;
         let mut round_up = false;
         if bitlen as i64 > i64::from(prec) {
@@ -321,7 +329,7 @@ impl BigFloat {
                     let cut = (-k) as usize;
                     let round_bit = bit_at(&self.mant, cut - 1);
                     let sticky = any_bits_below(&self.mant, cut - 1);
-                    m = shift_right_into(&self.mant, cut, 1)[0];
+                    m = shift_right_into::<1>(&self.mant, cut, 1)[0];
                     inexact = round_bit || sticky;
                     let up = match rm {
                         Round::NearestEven => round_bit && (sticky || m & 1 == 1),
@@ -382,7 +390,7 @@ impl BigFloat {
             return Some((self.sign, mag, false));
         }
         let inexact = any_bits_below(&self.mant, frac_bits as usize);
-        let shifted = shift_right_into(&self.mant, frac_bits as usize, 2);
+        let shifted: LimbBuf<2> = shift_right_into(&self.mant, frac_bits as usize, 2);
         let mag = u128::from(shifted[0]) | (u128::from(shifted[1]) << 64);
         Some((self.sign, mag, inexact))
     }
@@ -522,7 +530,7 @@ impl BigFloat {
         let exp10 = (self.exp as f64 * std::f64::consts::LOG10_2).floor() as i64;
         // n = |x| × 10^(digits - 1 - exp10), rounded.
         let shift10 = digits as i64 - 1 - exp10;
-        let mut num = self.mant.clone();
+        let mut num = self.mant.to_vec();
         let mut bin_exp = self.exp - i64::from(self.prec); // unit exponent
                                                            // Multiply by 10^shift10 (or divide).
         let (p10, neg10) = (shift10.unsigned_abs(), shift10 < 0);
@@ -559,7 +567,9 @@ impl BigFloat {
             half[(sh - 1) / 64] = 1u64 << ((sh - 1) % 64);
             num.resize(num.len().max(half.len()) + 1, 0);
             limb::add_assign(&mut num, &half);
-            num = shift_right_into(&num, sh, num.len().saturating_sub(sh / 64).max(1));
+            let len = num.len().saturating_sub(sh / 64).max(1);
+            let shifted: Scratch = shift_right_into(&num, sh, len);
+            num = shifted.to_vec();
         }
         let dec = limbs_to_decimal(&limb::trim(&num));
         let dec = if dec.len() > digits {
@@ -600,47 +610,6 @@ fn any_bits_below(a: &[u64], i: usize) -> bool {
     false
 }
 
-/// Shift right by `cut` bits into a vector of exactly `nlimbs` limbs.
-#[allow(clippy::needless_range_loop)] // reads offsets i+k relative to the index
-fn shift_right_into(a: &[u64], cut: usize, nlimbs: usize) -> Vec<u64> {
-    let limb_cut = cut / 64;
-    let bit_cut = (cut % 64) as u32;
-    let mut out = vec![0u64; nlimbs];
-    for i in 0..nlimbs {
-        let lo = a.get(i + limb_cut).copied().unwrap_or(0);
-        let hi = a.get(i + limb_cut + 1).copied().unwrap_or(0);
-        out[i] = if bit_cut == 0 {
-            lo
-        } else {
-            (lo >> bit_cut) | (hi << (64 - bit_cut))
-        };
-    }
-    out
-}
-
-/// Shift left by `shift` bits into a vector of exactly `nlimbs` limbs.
-#[allow(clippy::needless_range_loop)] // reads offsets i-k relative to the index
-fn shift_left_into(a: &[u64], shift: usize, nlimbs: usize) -> Vec<u64> {
-    let limb_shift = shift / 64;
-    let bit_shift = (shift % 64) as u32;
-    let mut out = vec![0u64; nlimbs];
-    for i in 0..nlimbs {
-        let src_hi = i.checked_sub(limb_shift).and_then(|j| a.get(j)).copied();
-        let src_lo = i
-            .checked_sub(limb_shift + 1)
-            .and_then(|j| a.get(j))
-            .copied();
-        let hi = src_hi.unwrap_or(0);
-        let lo = src_lo.unwrap_or(0);
-        out[i] = if bit_shift == 0 {
-            hi
-        } else {
-            (hi << bit_shift) | (lo >> (64 - bit_shift))
-        };
-    }
-    out
-}
-
 /// The `i`-th 64-bit window from the top of a prec-bit mantissa, for
 /// magnitude comparison between values of different precision.
 fn top_window(mant: &[u64], prec: u32, i: usize) -> u64 {
@@ -649,16 +618,19 @@ fn top_window(mant: &[u64], prec: u32, i: usize) -> u64 {
     if top <= 0 {
         return 0;
     }
-    // Extract bits [top-64, top).
+    // Bits [top-64, top): two limb shifts, or the bottom limb moved up
+    // when the window hangs below bit 0.
     let lo_bit = top - 64;
-    let mut out = 0u64;
-    for b in 0..64 {
-        let pos = lo_bit + b;
-        if pos >= 0 && bit_at(mant, pos as usize) {
-            out |= 1 << b;
-        }
+    if lo_bit < 0 {
+        return mant[0] << -lo_bit;
     }
-    out
+    let (limb, off) = (lo_bit as usize / 64, lo_bit as u32 % 64);
+    let lo = mant.get(limb).copied().unwrap_or(0) >> off;
+    let hi = match off {
+        0 => 0,
+        _ => mant.get(limb + 1).copied().unwrap_or(0) << (64 - off),
+    };
+    lo | hi
 }
 
 /// Widen a ≤53-bit mantissa to exactly 53 bits as a u64.
@@ -768,28 +740,37 @@ fn inexact_flag(inexact: bool) -> FpFlags {
 
 /// Correctly-rounded addition to `prec` bits.
 pub fn add(a: &BigFloat, b: &BigFloat, prec: u32, rm: Round) -> (BigFloat, FpFlags) {
+    add_signed(a, b, b.sign, prec, rm)
+}
+
+/// Correctly-rounded subtraction.
+pub fn sub(a: &BigFloat, b: &BigFloat, prec: u32, rm: Round) -> (BigFloat, FpFlags) {
+    add_signed(a, b, !b.sign, prec, rm)
+}
+
+/// `a + b` with `b`'s sign read as `sb`, so subtraction needs no negated
+/// copy of `b`.
+fn add_signed(a: &BigFloat, b: &BigFloat, sb: bool, prec: u32, rm: Round) -> (BigFloat, FpFlags) {
     if let Some(r) = check_nan2(a, b, prec) {
         return r;
     }
+    let sa = a.sign;
     match (a.kind, b.kind) {
         (Kind::Inf, Kind::Inf) => {
-            if a.sign == b.sign {
-                return (BigFloat::inf(a.sign, prec), FpFlags::NONE);
+            if sa == sb {
+                return (BigFloat::inf(sa, prec), FpFlags::NONE);
             }
             return (BigFloat::nan(prec), FpFlags::INVALID);
         }
-        (Kind::Inf, _) => return (BigFloat::inf(a.sign, prec), FpFlags::NONE),
-        (_, Kind::Inf) => return (BigFloat::inf(b.sign, prec), FpFlags::NONE),
+        (Kind::Inf, _) => return (BigFloat::inf(sa, prec), FpFlags::NONE),
+        (_, Kind::Inf) => return (BigFloat::inf(sb, prec), FpFlags::NONE),
         (Kind::Zero, Kind::Zero) => {
-            let sign = if a.sign == b.sign {
-                a.sign
-            } else {
-                rm == Round::Down
-            };
+            let sign = if sa == sb { sa } else { rm == Round::Down };
             return (BigFloat::zero(sign, prec), FpFlags::NONE);
         }
         (Kind::Zero, _) => {
-            let (r, ix) = round_to(b, prec, rm);
+            let unit = b.exp - i64::from(b.prec);
+            let (r, ix) = BigFloat::from_int(sb, unit, &b.mant, false, prec, rm);
             return (r, inexact_flag(ix));
         }
         (_, Kind::Zero) => {
@@ -799,40 +780,38 @@ pub fn add(a: &BigFloat, b: &BigFloat, prec: u32, rm: Round) -> (BigFloat, FpFla
         _ => {}
     }
     // Both finite nonzero. Order by magnitude: x is the larger.
-    let (x, y) = if a.cmp_mag(b) == Ordering::Less {
-        (b, a)
-    } else {
-        (a, b)
-    };
-    if x.sign != y.sign && x.cmp_mag(y) == Ordering::Equal {
+    let ord = a.cmp_mag(b);
+    if sa != sb && ord == Ordering::Equal {
         let sign = rm == Round::Down;
         return (BigFloat::zero(sign, prec), FpFlags::NONE);
     }
-    let same_sign = x.sign == y.sign;
+    let ((x, sx), (y, sy)) = if ord == Ordering::Less {
+        ((b, sb), (a, sa))
+    } else {
+        ((a, sa), (b, sb))
+    };
     let ex = x.exp - i64::from(x.prec); // unit exponent of x's mantissa
-                                        // Working window: target precision + one guard limb + headroom, aligned
-                                        // to x's MSB — and always wide enough to hold ALL of x (whose own
-                                        // precision may exceed the target, e.g. when re-rounding downward), so
-                                        // no x bits are silently dropped without reaching the sticky path.
+
+    // Working window: target precision + one guard limb + headroom, aligned
+    // to x's MSB — and always wide enough to hold ALL of x (whose own
+    // precision may exceed the target, e.g. when re-rounding downward), so
+    // no x bits are silently dropped without reaching the sticky path.
     let wl = (prec.max(x.prec) as usize).div_ceil(64) + 2;
     let wbits = wl as u64 * 64;
     // Place x's MSB at bit (wbits - 2): one headroom bit at the top.
     let msb_target = wbits as i64 - 2;
     let x_msb = i64::from(x.prec) - 1; // x's MSB position within its mantissa
     let shift_x = msb_target - x_msb;
-    let (wx, sx) = place(&x.mant, shift_x, wl);
-    debug_assert!(!sx, "x must fit in the window exactly above guard");
+    let (mut w, x_cut) = place(&x.mant, shift_x, wl);
+    debug_assert!(!x_cut, "x must fit in the window exactly above guard");
     // y's MSB goes d bits lower (d = weighted exponent difference).
     let y_msb_target = msb_target - (x.exp - y.exp);
     let shift_y = y_msb_target - (i64::from(y.prec) - 1);
     let (wy, mut sticky) = place(&y.mant, shift_y, wl);
     let unit = ex + x_msb - msb_target; // weight of window bit 0
-    let mut w = wx;
-    if same_sign {
+    if sx == sy {
         let carry = limb::add_assign(&mut w, &wy);
         debug_assert!(!carry, "headroom bit absorbs the carry");
-        let (r, ix) = BigFloat::from_int(x.sign, unit, &w, sticky, prec, rm);
-        (r, inexact_flag(ix))
     } else {
         let borrow = limb::sub_assign(&mut w, &wy);
         debug_assert!(!borrow, "x has the larger magnitude");
@@ -847,35 +826,23 @@ pub fn add(a: &BigFloat, b: &BigFloat, prec: u32, rm: Round) -> (BigFloat, FpFla
                 sticky = true;
             }
         }
-        let (r, ix) = BigFloat::from_int(x.sign, unit, &w, sticky, prec, rm);
-        (r, inexact_flag(ix))
     }
+    let (r, ix) = BigFloat::from_int(sx, unit, &w, sticky, prec, rm);
+    (r, inexact_flag(ix))
 }
 
 /// Place a mantissa into a `wl`-limb window shifted by `shift` bits
 /// (positive = left). Bits shifted below the window are returned as sticky.
-fn place(mant: &[u64], shift: i64, wl: usize) -> (Vec<u64>, bool) {
+fn place(mant: &[u64], shift: i64, wl: usize) -> (Scratch, bool) {
     if shift >= 0 {
-        (shift_left_into(mant, shift as usize, wl), false)
-    } else {
-        let cut = (-shift) as usize;
-        let total = mant.len() * 64;
-        let sticky = if cut >= total {
-            !limb::is_zero(mant)
-        } else {
-            any_bits_below(mant, cut)
-        };
-        if cut >= total {
-            (vec![0; wl], sticky)
-        } else {
-            (shift_right_into(mant, cut, wl), sticky)
-        }
+        return (shift_left_into(mant, shift as usize, wl), false);
     }
-}
-
-/// Correctly-rounded subtraction.
-pub fn sub(a: &BigFloat, b: &BigFloat, prec: u32, rm: Round) -> (BigFloat, FpFlags) {
-    add(a, &b.neg(), prec, rm)
+    let cut = (-shift) as usize;
+    if cut >= mant.len() * 64 {
+        (Scratch::zeroed(wl), !limb::is_zero(mant))
+    } else {
+        (shift_right_into(mant, cut, wl), any_bits_below(mant, cut))
+    }
 }
 
 /// Re-round an existing value to a (possibly smaller) precision.
@@ -906,7 +873,7 @@ pub fn mul(a: &BigFloat, b: &BigFloat, prec: u32, rm: Round) -> (BigFloat, FpFla
         (Kind::Zero, _) | (_, Kind::Zero) => return (BigFloat::zero(sign, prec), FpFlags::NONE),
         _ => {}
     }
-    let product = limb::mul(&a.mant, &b.mant);
+    let product = limb::mul_buf(&a.mant, &b.mant);
     let unit = (a.exp - i64::from(a.prec)) + (b.exp - i64::from(b.prec));
     let (r, ix) = BigFloat::from_int(sign, unit, &product, false, prec, rm);
     (r, inexact_flag(ix))
@@ -932,16 +899,9 @@ pub fn div(a: &BigFloat, b: &BigFloat, prec: u32, rm: Round) -> (BigFloat, FpFla
     // quotient bits ≈ 64·(nn − nd) − Δ with Δ ∈ {0, 1}.
     let nd = b.mant.len();
     let extra = (prec as usize + 2).div_ceil(64) + 1 + nd.saturating_sub(a.mant.len());
-    let mut num = vec![0u64; extra];
-    num.extend_from_slice(&a.mant);
-    // Normalize the divisor for Knuth D; shift numerator equally.
-    let mut den = b.mant.clone();
-    let lz = limb::leading_zeros(&den) % 64;
-    num.push(0);
-    limb::shl_small(&mut den, lz);
-    limb::shl_small(&mut num, lz);
-    let den = limb::trim(&den);
-    let (q, r) = limb::divrem(&num, &den);
+    let mut num = Scratch::zeroed(extra + a.mant.len());
+    num[extra..].copy_from_slice(&a.mant);
+    let (q, r) = limb::divrem_buf(&num, &b.mant);
     let sticky = !limb::is_zero(&r);
     // a / b = q × 2^(ua − ub − 64·extra) where ua, ub are unit exponents.
     let unit = (a.exp - i64::from(a.prec)) - (b.exp - i64::from(b.prec)) - 64 * extra as i64;
@@ -976,8 +936,8 @@ pub fn sqrt(a: &BigFloat, prec: u32, rm: Round) -> (BigFloat, FpFlags) {
         shift += 1;
     }
     let nl = (have_bits + shift as usize).div_ceil(64);
-    let m = shift_left_into(&a.mant, shift as usize, nl);
-    let (s, r) = limb::isqrt(&m);
+    let m: Scratch = shift_left_into(&a.mant, shift as usize, nl);
+    let (s, r) = limb::isqrt_buf(&m);
     let sticky = !limb::is_zero(&r);
     let (res, ix) = BigFloat::from_int(false, (unit - shift) / 2, &s, sticky, prec, rm);
     (res, inexact_flag(ix))
