@@ -16,8 +16,7 @@
 use super::{add, cmp_quiet, div, floor, mul, round_to, sqrt, BigFloat, Kind, MIN_PREC};
 use crate::flags::{FpFlags, Round};
 use crate::softfp::CmpResult;
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::cell::RefCell;
 
 /// Guard bits added to the working precision.
 const GUARD: u32 = 48;
@@ -36,28 +35,29 @@ fn inexact_result(v: BigFloat, prec: u32, rm: Round) -> (BigFloat, FpFlags) {
     (r, FpFlags::INEXACT)
 }
 
-type ConstCache = Mutex<HashMap<u32, BigFloat>>;
-
-fn cache() -> &'static [ConstCache; 3] {
-    static CACHES: OnceLock<[ConstCache; 3]> = OnceLock::new();
-    CACHES.get_or_init(|| {
-        [
-            Mutex::new(HashMap::new()),
-            Mutex::new(HashMap::new()),
-            Mutex::new(HashMap::new()),
-        ]
-    })
+thread_local! {
+    /// Per-thread cache of ln 2, π and ln 10, keyed by quantized working
+    /// precision. Thread-local so fleet workers never contend on a lock;
+    /// each thread computes the same deterministic values.
+    static CONSTS: RefCell<[Vec<(u32, BigFloat)>; 3]> =
+        const { RefCell::new([Vec::new(), Vec::new(), Vec::new()]) };
 }
 
 fn cached_const(idx: usize, wp: u32, compute: impl FnOnce(u32) -> BigFloat) -> BigFloat {
     // Quantize wp to 64-bit steps so the cache stays small.
     let wp = wp.div_ceil(64) * 64;
-    let mut guard = cache()[idx].lock().unwrap();
-    if let Some(v) = guard.get(&wp) {
-        return v.clone();
+    let hit = CONSTS.with(|c| {
+        c.borrow()[idx]
+            .iter()
+            .find(|(w, _)| *w == wp)
+            .map(|(_, v)| v.clone())
+    });
+    if let Some(v) = hit {
+        return v;
     }
+    // Computed outside the borrow: ln 10 is built from ln 2.
     let v = compute(wp);
-    guard.insert(wp, v.clone());
+    CONSTS.with(|c| c.borrow_mut()[idx].push((wp, v.clone())));
     v
 }
 
