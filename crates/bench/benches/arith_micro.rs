@@ -41,8 +41,27 @@ fn main() {
         v.to_f64(&x, rm).0
     });
 
-    println!("== arith: transcendentals (bigfloat200) ==");
+    println!("== arith: single kernels (bigfloat200) ==");
     let big = BigFloatCtx::new(200);
+    // Full-width operands (every mantissa limb populated) and an f64-widened
+    // one (53 significant bits: the short-divisor path).
+    let third = big.div(&big.from_f64(1.0), &big.from_f64(3.0), rm).0;
+    let root2 = big.sqrt(&big.from_f64(2.0), rm).0;
+    let short = big.from_f64(1.1);
+    bench_ns("arith/kernel/bigfloat200/sqrt", || big.sqrt(&third, rm).0);
+    bench_ns("arith/kernel/bigfloat200/div_full_width", || {
+        big.div(&root2, &third, rm).0
+    });
+    bench_ns("arith/kernel/bigfloat200/div_short", || {
+        big.div(&root2, &short, rm).0
+    });
+    // Same exponent, so `add` compares the mantissas word by word.
+    let near = big.add(&root2, &big.from_f64(1e-30), rm).0;
+    bench_ns("arith/kernel/bigfloat200/add_equal_exp", || {
+        big.add(&root2, &near, rm).0
+    });
+
+    println!("== arith: transcendentals (bigfloat200) ==");
     let x = big.from_f64(0.7);
     bench_ns("arith/transcendental/bigfloat200/sin", || big.sin(&x, rm).0);
     bench_ns("arith/transcendental/bigfloat200/exp", || big.exp(&x, rm).0);
