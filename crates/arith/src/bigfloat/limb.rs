@@ -194,48 +194,55 @@ pub fn shr_small(a: &mut [u64], bits: u32) -> u64 {
 }
 
 /// `a >> cut` into exactly `nlimbs` limbs (higher result bits are dropped).
-#[allow(clippy::needless_range_loop)] // reads offsets i+k relative to the index
 pub(crate) fn shift_right_into<const N: usize>(a: &[u64], cut: usize, nlimbs: usize) -> LimbBuf<N> {
-    let limb_cut = cut / 64;
-    let bit_cut = (cut % 64) as u32;
     let mut out = LimbBuf::zeroed(nlimbs);
-    for i in 0..nlimbs {
-        let lo = a.get(i + limb_cut).copied().unwrap_or(0);
-        let hi = a.get(i + limb_cut + 1).copied().unwrap_or(0);
-        out[i] = if bit_cut == 0 {
-            lo
-        } else {
-            (lo >> bit_cut) | (hi << (64 - bit_cut))
-        };
-    }
+    shift_right_to(&mut out, a, cut);
     out
 }
 
+/// `a >> cut` into the zeroed `out` (higher result bits are dropped).
+pub(crate) fn shift_right_to(out: &mut [u64], a: &[u64], cut: usize) {
+    let src = a.get(cut / 64..).unwrap_or(&[]);
+    let bits = (cut % 64) as u32;
+    let m = out.len().min(src.len());
+    if bits == 0 {
+        out[..m].copy_from_slice(&src[..m]);
+        return;
+    }
+    for i in 0..m {
+        let hi = src.get(i + 1).map_or(0, |&h| h << (64 - bits));
+        out[i] = src[i] >> bits | hi;
+    }
+}
+
 /// `a << shift` into exactly `nlimbs` limbs (higher result bits are dropped).
-#[allow(clippy::needless_range_loop)] // reads offsets i-k relative to the index
 pub(crate) fn shift_left_into<const N: usize>(
     a: &[u64],
     shift: usize,
     nlimbs: usize,
 ) -> LimbBuf<N> {
-    let limb_shift = shift / 64;
-    let bit_shift = (shift % 64) as u32;
     let mut out = LimbBuf::zeroed(nlimbs);
-    for i in 0..nlimbs {
-        let src_hi = i.checked_sub(limb_shift).and_then(|j| a.get(j)).copied();
-        let src_lo = i
-            .checked_sub(limb_shift + 1)
-            .and_then(|j| a.get(j))
-            .copied();
-        let hi = src_hi.unwrap_or(0);
-        let lo = src_lo.unwrap_or(0);
-        out[i] = if bit_shift == 0 {
-            hi
-        } else {
-            (hi << bit_shift) | (lo >> (64 - bit_shift))
-        };
-    }
+    shift_left_to(&mut out, a, shift);
     out
+}
+
+/// `a << shift` into the zeroed `out` (higher result bits are dropped).
+pub(crate) fn shift_left_to(out: &mut [u64], a: &[u64], shift: usize) {
+    let Some(dst) = out.get_mut(shift / 64..) else {
+        return;
+    };
+    let bits = (shift % 64) as u32;
+    let m = dst.len().min(a.len());
+    if bits == 0 {
+        dst[..m].copy_from_slice(&a[..m]);
+        return;
+    }
+    for i in 0..m {
+        dst[i] |= a[i] << bits;
+        if let Some(d) = dst.get_mut(i + 1) {
+            *d |= a[i] >> (64 - bits);
+        }
+    }
 }
 
 /// Number of leading zero bits of the slice viewed as an integer with
@@ -496,6 +503,41 @@ fn divrem_by_limb(q: &mut [u64], num: &[u64], d: u64) -> u64 {
     rem
 }
 
+/// `a ← ⌊a / d⌋` in place for any nonzero single-limb `d`; returns the
+/// remainder. Dividing `a·2^s` by the normalized `d·2^s` gives the same
+/// quotient, so the shift is applied on the fly while streaming the limbs.
+pub(crate) fn div_limb_in_place(a: &mut [u64], d: u64) -> u64 {
+    assert!(d != 0, "division by zero");
+    let s = d.leading_zeros();
+    let dn = d << s;
+    let v = reciprocal(dn);
+    let n = a.len();
+    let mut rem = if s == 0 { 0 } else { a[n - 1] >> (64 - s) };
+    for i in (0..n).rev() {
+        let below = if s == 0 || i == 0 {
+            0
+        } else {
+            a[i - 1] >> (64 - s)
+        };
+        let (q, r) = div_2by1(rem, a[i] << s | below, dn, v);
+        a[i] = q;
+        rem = r;
+    }
+    rem >> s
+}
+
+/// `acc += a · k`; returns the carry out of `acc`'s top limb.
+pub(crate) fn mul_limb_add(acc: &mut [u64], a: &[u64], k: u64) -> bool {
+    debug_assert!(acc.len() > a.len());
+    let mut carry = 0u64;
+    for (i, &ai) in a.iter().enumerate() {
+        let t = u128::from(ai) * u128::from(k) + u128::from(acc[i]) + u128::from(carry);
+        acc[i] = t as u64;
+        carry = (t >> 64) as u64;
+    }
+    add_assign(&mut acc[a.len()..], &[carry])
+}
+
 /// Integer square root with remainder: returns `(s, r)` with `s² + r = a`
 /// and `s² ≤ a < (s+1)²`.
 ///
@@ -733,6 +775,42 @@ mod tests {
                 r = cur % u128::from(d);
             }
             assert_eq!(u128::from(rem), r);
+        }
+    }
+
+    #[test]
+    fn single_limb_kernels_match_u128_arithmetic() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state
+        };
+        for k in 0..500 {
+            let d = match k % 4 {
+                0 => next(),
+                1 => next() >> (k % 64),
+                2 => 1 + k as u64,
+                _ => 1 << (k % 64),
+            }
+            .max(1);
+            let a = [next(), next() >> (k % 17), next()];
+            let mut q = a;
+            let rem = div_limb_in_place(&mut q, d);
+            let mut r = 0u128;
+            for i in (0..3).rev() {
+                let cur = r << 64 | u128::from(a[i]);
+                assert_eq!(u128::from(q[i]), cur / u128::from(d), "d = {d:#x}");
+                r = cur % u128::from(d);
+            }
+            assert_eq!(u128::from(rem), r);
+            // a·d + r rebuilds from the scalar multiply-add.
+            let mut acc = [0u64; 4];
+            acc[..1].copy_from_slice(&[rem]);
+            assert!(!mul_limb_add(&mut acc, &q, d));
+            assert_eq!(acc[..3], a);
+            assert_eq!(acc[3], 0);
         }
     }
 

@@ -26,6 +26,7 @@
 //! in stack buffers (see [`limb`]), so at the paper's 200 bits no operation
 //! or conversion allocates.
 
+mod fixed;
 pub mod limb;
 mod transcendental;
 
@@ -790,36 +791,57 @@ fn add_signed(a: &BigFloat, b: &BigFloat, sb: bool, prec: u32, rm: Round) -> (Bi
     } else {
         ((a, sa), (b, sb))
     };
-    let ex = x.exp - i64::from(x.prec); // unit exponent of x's mantissa
-
     // Working window: target precision + one guard limb + headroom, aligned
     // to x's MSB — and always wide enough to hold ALL of x (whose own
     // precision may exceed the target, e.g. when re-rounding downward), so
     // no x bits are silently dropped without reaching the sticky path.
     let wl = (prec.max(x.prec) as usize).div_ceil(64) + 2;
-    let wbits = wl as u64 * 64;
+    // Operands held inline fit a stack window.
+    if wl <= ADD_INLINE {
+        let (mut w, mut wy) = ([0u64; ADD_INLINE], [0u64; ADD_INLINE]);
+        add_in_window(&mut w[..wl], &mut wy[..wl], (x, sx), (y, sy), prec, rm)
+    } else {
+        let (mut w, mut wy) = (Scratch::zeroed(wl), Scratch::zeroed(wl));
+        add_in_window(&mut w, &mut wy, (x, sx), (y, sy), prec, rm)
+    }
+}
+
+/// Limbs of the stack window `add` uses for inline operands.
+const ADD_INLINE: usize = MANT_INLINE + 2;
+
+/// `x + y` for finite nonzero `|x| > |y|` with signs `sx`, `sy`, in the
+/// zeroed `wl`-limb windows `w` and `wy`.
+fn add_in_window(
+    w: &mut [u64],
+    wy: &mut [u64],
+    (x, sx): (&BigFloat, bool),
+    (y, sy): (&BigFloat, bool),
+    prec: u32,
+    rm: Round,
+) -> (BigFloat, FpFlags) {
+    let ex = x.exp - i64::from(x.prec); // unit exponent of x's mantissa
+    let wbits = w.len() as u64 * 64;
     // Place x's MSB at bit (wbits - 2): one headroom bit at the top.
     let msb_target = wbits as i64 - 2;
     let x_msb = i64::from(x.prec) - 1; // x's MSB position within its mantissa
-    let shift_x = msb_target - x_msb;
-    let (mut w, x_cut) = place(&x.mant, shift_x, wl);
+    let x_cut = place(w, &x.mant, msb_target - x_msb);
     debug_assert!(!x_cut, "x must fit in the window exactly above guard");
     // y's MSB goes d bits lower (d = weighted exponent difference).
     let y_msb_target = msb_target - (x.exp - y.exp);
     let shift_y = y_msb_target - (i64::from(y.prec) - 1);
-    let (wy, mut sticky) = place(&y.mant, shift_y, wl);
+    let mut sticky = place(wy, &y.mant, shift_y);
     let unit = ex + x_msb - msb_target; // weight of window bit 0
     if sx == sy {
-        let carry = limb::add_assign(&mut w, &wy);
+        let carry = limb::add_assign(w, wy);
         debug_assert!(!carry, "headroom bit absorbs the carry");
     } else {
-        let borrow = limb::sub_assign(&mut w, &wy);
+        let borrow = limb::sub_assign(w, wy);
         debug_assert!(!borrow, "x has the larger magnitude");
         if sticky {
             // True value is (w - δ) with 0 < δ < 1: bracket as w-1 + ε.
-            let borrow = limb::sub_assign(&mut w, &[1]);
+            let borrow = limb::sub_assign(w, &[1]);
             debug_assert!(!borrow);
-            if limb::is_zero(&w) {
+            if limb::is_zero(w) {
                 // Cancellation down to below one window ulp can only happen
                 // when d was huge and w was exactly 1; the result is then
                 // dominated by the sticky residue.
@@ -827,21 +849,24 @@ fn add_signed(a: &BigFloat, b: &BigFloat, sb: bool, prec: u32, rm: Round) -> (Bi
             }
         }
     }
-    let (r, ix) = BigFloat::from_int(sx, unit, &w, sticky, prec, rm);
+    let (r, ix) = BigFloat::from_int(sx, unit, w, sticky, prec, rm);
     (r, inexact_flag(ix))
 }
 
-/// Place a mantissa into a `wl`-limb window shifted by `shift` bits
-/// (positive = left). Bits shifted below the window are returned as sticky.
-fn place(mant: &[u64], shift: i64, wl: usize) -> (Scratch, bool) {
+/// Place a mantissa into the zeroed window `out` shifted by `shift` bits
+/// (positive = left). Returns whether bits were shifted below the window
+/// (the sticky bit).
+fn place(out: &mut [u64], mant: &[u64], shift: i64) -> bool {
     if shift >= 0 {
-        return (shift_left_into(mant, shift as usize, wl), false);
+        limb::shift_left_to(out, mant, shift as usize);
+        return false;
     }
     let cut = (-shift) as usize;
     if cut >= mant.len() * 64 {
-        (Scratch::zeroed(wl), !limb::is_zero(mant))
+        !limb::is_zero(mant)
     } else {
-        (shift_right_into(mant, cut, wl), any_bits_below(mant, cut))
+        limb::shift_right_to(out, mant, cut);
+        any_bits_below(mant, cut)
     }
 }
 
@@ -907,6 +932,47 @@ pub fn div(a: &BigFloat, b: &BigFloat, prec: u32, rm: Round) -> (BigFloat, FpFla
     let unit = (a.exp - i64::from(a.prec)) - (b.exp - i64::from(b.prec)) - 64 * extra as i64;
     let (res, ix) = BigFloat::from_int(sign, unit, &q, sticky, prec, rm);
     (res, inexact_flag(ix))
+}
+
+/// `a · k` for a machine integer `k`, correctly rounded to `prec` bits:
+/// the same value and flags as [`mul`] by `k` converted to a `BigFloat`,
+/// from one pass of limb-by-word products.
+pub fn mul_u64(a: &BigFloat, k: u64, prec: u32, rm: Round) -> (BigFloat, FpFlags) {
+    match a.kind {
+        Kind::Nan => return (BigFloat::nan(prec), FpFlags::NONE),
+        Kind::Inf if k == 0 => return (BigFloat::nan(prec), FpFlags::INVALID),
+        Kind::Inf => return (BigFloat::inf(a.sign, prec), FpFlags::NONE),
+        Kind::Zero => return (BigFloat::zero(a.sign, prec), FpFlags::NONE),
+        Kind::Finite if k == 0 => return (BigFloat::zero(a.sign, prec), FpFlags::NONE),
+        Kind::Finite => {}
+    }
+    let mut product = Scratch::zeroed(a.mant.len() + 1);
+    limb::mul_limb_add(&mut product, &a.mant, k);
+    let unit = a.exp - i64::from(a.prec);
+    let (r, ix) = BigFloat::from_int(a.sign, unit, &product, false, prec, rm);
+    (r, inexact_flag(ix))
+}
+
+/// `a / k` for a nonzero machine integer `k`, correctly rounded to `prec`
+/// bits: the same value and flags as [`div`] by `k` converted to a
+/// `BigFloat`, from one pass of word divisions.
+pub fn div_u64(a: &BigFloat, k: u64, prec: u32, rm: Round) -> (BigFloat, FpFlags) {
+    assert!(k != 0, "division by zero");
+    match a.kind {
+        Kind::Nan => return (BigFloat::nan(prec), FpFlags::NONE),
+        Kind::Inf => return (BigFloat::inf(a.sign, prec), FpFlags::NONE),
+        Kind::Zero => return (BigFloat::zero(a.sign, prec), FpFlags::NONE),
+        Kind::Finite => {}
+    }
+    // As in `div`: extend the numerator so the quotient keeps ≥ prec + 2
+    // bits after losing at most 64 to the divisor.
+    let extra = (prec as usize + 2).div_ceil(64) + 1;
+    let mut num = Scratch::zeroed(extra + a.mant.len());
+    num[extra..].copy_from_slice(&a.mant);
+    let rem = limb::div_limb_in_place(&mut num, k);
+    let unit = a.exp - i64::from(a.prec) - 64 * extra as i64;
+    let (r, ix) = BigFloat::from_int(a.sign, unit, &num, rem != 0, prec, rm);
+    (r, inexact_flag(ix))
 }
 
 /// Correctly-rounded square root to `prec` bits.
