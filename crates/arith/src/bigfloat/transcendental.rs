@@ -987,12 +987,22 @@ pub fn atan2(y: &BigFloat, x: &BigFloat, prec: u32, rm: Round) -> (BigFloat, FpF
         }
         return inexact_result(h, prec, rm);
     }
+    if y.is_inf() && x.is_inf() {
+        // atan2(±∞, +∞) = ±π/4 and atan2(±∞, −∞) = ±3π/4, as in libm.
+        let quarter = scale2(&pi, -2);
+        let r = if x.sign() {
+            sub(&pi, &quarter, wp, RNE).0
+        } else {
+            quarter
+        };
+        return inexact_result(if y.sign() { r.neg() } else { r }, prec, rm);
+    }
     let q = div(y, x, wp, RNE).0;
     let base = match q.kind() {
         Kind::Finite => atan_at(&q, wp),
         Kind::Inf => atan_inf(q.sign(), wp, RNE).0,
         Kind::Zero => BigFloat::zero(q.sign(), wp),
-        Kind::Nan => BigFloat::nan(wp),
+        Kind::Nan => unreachable!("only ∞/∞ divides to NaN here"),
     };
     let r = if x.sign() {
         if y.sign() {
@@ -1195,6 +1205,17 @@ mod tests {
                 y.atan2(x),
                 &format!("atan2({y},{x})"),
             );
+        }
+    }
+
+    #[test]
+    fn atan2_of_infinities_matches_host() {
+        let inf = f64::INFINITY;
+        for (y, x) in [(inf, inf), (-inf, inf), (inf, -inf), (-inf, -inf)] {
+            let (r, f) = atan2(&bf(y), &bf(x), 200, Round::NearestEven);
+            let (got, _) = r.to_f64(Round::NearestEven);
+            assert_eq!(got.to_bits(), y.atan2(x).to_bits(), "atan2({y}, {x})");
+            assert_eq!(f, FpFlags::INEXACT, "atan2({y}, {x})");
         }
     }
 

@@ -314,7 +314,7 @@ const PINS: &[(&str, u32, u64)] = &[
     ("log10", 200, 0x5E5EA09DC4110604),
     ("asin_small", 200, 0x5A64B6694055984F),
     ("acos_small", 200, 0xAD99ADC5C28BE3FA),
-    ("atan2", 200, 0x1ACF0A6ABE3B8006),
+    ("atan2", 200, 0xA2EA85458678FA74),
     ("pow", 200, 0x5C179972CD02804C),
 ];
 
