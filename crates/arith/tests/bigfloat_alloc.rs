@@ -1,6 +1,7 @@
 //! BigFloat at the paper's 200 bits must not touch the heap: a counting
-//! global allocator asserts zero allocations for the basic operations and
-//! the `f64` conversions over a spread of operands.
+//! global allocator asserts zero allocations for the basic operations, the
+//! `f64` conversions and, once the per-thread constant and table caches
+//! are warm, the transcendentals, over a spread of operands.
 
 use fpvm_arith::bigfloat::{self, BigFloat};
 use fpvm_arith::Round;
@@ -96,4 +97,43 @@ fn bigfloat200_basic_ops_and_conversions_do_not_allocate() {
         std::hint::black_box(acc.to_f64(rm));
     });
     assert_eq!(n, 0, "BigFloat@200 basic ops allocated {n} times");
+}
+
+#[test]
+fn bigfloat200_transcendentals_do_not_allocate_once_caches_are_warm() {
+    const P: u32 = 200;
+    let xs = [0.7, -0.31, 2.5, -11.0, 1e-5, 0.999, 123.4, -0.05];
+    let args: Vec<BigFloat> = xs
+        .iter()
+        .map(|&x| {
+            // Full-width operands, as a BigFloat guest computes them.
+            let v = BigFloat::from_f64(x, P, Round::NearestEven).0;
+            let three = BigFloat::from_f64(3.0, P, Round::NearestEven).0;
+            bigfloat::div(&v, &three, P, Round::NearestEven).0
+        })
+        .collect();
+    type Unary = fn(&BigFloat, u32, Round) -> (BigFloat, fpvm_arith::FpFlags);
+    let fns: [Unary; 6] = [
+        bigfloat::sin,
+        bigfloat::cos,
+        bigfloat::asin,
+        bigfloat::atan,
+        bigfloat::exp,
+        bigfloat::log,
+    ];
+    let run = || {
+        for f in fns {
+            for a in &args {
+                for rm in [Round::NearestEven, Round::Down, Round::Up, Round::Zero] {
+                    // asin and log reject part of the spread: NaN, no heap.
+                    std::hint::black_box(f(a, P, rm));
+                }
+            }
+        }
+    };
+    // The first pass fills the caches: π, ln 2, 2/π and 1/ln 2 at each
+    // working precision, and the atan and ln tables.
+    run();
+    let n = allocations(run);
+    assert_eq!(n, 0, "warm BigFloat@200 transcendentals allocated {n} times");
 }
