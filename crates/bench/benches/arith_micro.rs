@@ -2,7 +2,7 @@
 //! through the 37-function interface (§4.3), plus NaN-box encode/decode.
 //! These are the `emulate` component inputs of Fig. 9.
 
-use fpvm_arith::{ArithSystem, BigFloatCtx, PositCtx, Round, Vanilla};
+use fpvm_arith::{bigfloat, ArithSystem, BigFloatCtx, PositCtx, Round, Vanilla};
 use fpvm_bench::microbench::bench_ns;
 
 fn main() {
@@ -60,14 +60,61 @@ fn main() {
     bench_ns("arith/kernel/bigfloat200/add_equal_exp", || {
         big.add(&root2, &near, rm).0
     });
+    bench_ns("arith/kernel/bigfloat200/add_f64_operand", || {
+        big.add(&root2, &short, rm).0
+    });
+    // The scalar kernels the transcendentals reduce and sum with, at the
+    // 280-bit working precision of a 200-bit target.
+    bench_ns("arith/kernel/bigfloat280/mul_u64", || {
+        bigfloat::mul_u64(&root2, 1_000_003, 280, rm).0
+    });
+    bench_ns("arith/kernel/bigfloat280/div_u64", || {
+        bigfloat::div_u64(&root2, 1_000_003, 280, rm).0
+    });
 
     println!("== arith: transcendentals (bigfloat200) ==");
     let x = big.from_f64(0.7);
     bench_ns("arith/transcendental/bigfloat200/sin", || big.sin(&x, rm).0);
+    bench_ns("arith/transcendental/bigfloat200/cos", || big.cos(&x, rm).0);
+    bench_ns("arith/transcendental/bigfloat200/tan", || big.tan(&x, rm).0);
     bench_ns("arith/transcendental/bigfloat200/exp", || big.exp(&x, rm).0);
     bench_ns("arith/transcendental/bigfloat200/log", || big.log(&x, rm).0);
     bench_ns("arith/transcendental/bigfloat200/asin", || {
         big.asin(&x, rm).0
+    });
+    bench_ns("arith/transcendental/bigfloat200/acos", || {
+        big.acos(&x, rm).0
+    });
+    bench_ns("arith/transcendental/bigfloat200/atan", || {
+        big.atan(&x, rm).0
+    });
+    let y = big.from_f64(-1.9);
+    bench_ns("arith/transcendental/bigfloat200/atan2", || {
+        big.atan2(&y, &x, rm).0
+    });
+    let e = big.from_f64(1.37);
+    bench_ns("arith/transcendental/bigfloat200/pow", || {
+        big.pow(&x, &e, rm).0
+    });
+    bench_ns("arith/transcendental/bigfloat200/log10", || {
+        big.log10(&x, rm).0
+    });
+    // Workload-shaped arguments: full-width values as a BigFloat guest
+    // computes them. FBench traces rays through lens surfaces (sin of
+    // incidence angles, asin of refracted sines); NAS EP takes logs of
+    // uniform deviates in (0, 1).
+    let full = |v: f64| big.div(&big.from_f64(v), &big.from_f64(3.0), rm).0;
+    let angle = full(0.4137);
+    let sine = full(-0.2911);
+    let deviate = full(0.6180);
+    bench_ns("arith/transcendental/bigfloat200/sin_fbench", || {
+        big.sin(&angle, rm).0
+    });
+    bench_ns("arith/transcendental/bigfloat200/asin_fbench", || {
+        big.asin(&sine, rm).0
+    });
+    bench_ns("arith/transcendental/bigfloat200/log_ep", || {
+        big.log(&deviate, rm).0
     });
 
     println!("== arith: nanbox ==");
