@@ -135,5 +135,8 @@ fn bigfloat200_transcendentals_do_not_allocate_once_caches_are_warm() {
     // working precision, and the atan and ln tables.
     run();
     let n = allocations(run);
-    assert_eq!(n, 0, "warm BigFloat@200 transcendentals allocated {n} times");
+    assert_eq!(
+        n, 0,
+        "warm BigFloat@200 transcendentals allocated {n} times"
+    );
 }

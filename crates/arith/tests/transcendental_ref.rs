@@ -64,7 +64,7 @@ fn args(seed: u64, n: usize, shape: impl Fn(&mut Rng) -> f64) -> Vec<BigFloat> {
     (0..n)
         .map(|i| {
             let x = shape(&mut rng);
-            if i % 2 == 0 {
+            if i.is_multiple_of(2) {
                 BigFloat::from_f64(x, P, Round::NearestEven).0
             } else {
                 full(&mut rng, x)
@@ -77,7 +77,7 @@ fn args(seed: u64, n: usize, shape: impl Fn(&mut Rng) -> f64) -> Vec<BigFloat> {
 /// mantissas, and small integers.
 fn pin_like(rng: &mut Rng) -> f64 {
     let s = if rng.sign() { -1.0 } else { 1.0 };
-    if rng.next() % 8 == 0 {
+    if rng.next().is_multiple_of(8) {
         return s * [1.0, 3.0, 10.0, 7.0][(rng.next() % 4) as usize];
     }
     s * (0.5 + rng.unit() / 2.0) * 2f64.powi((rng.next() % 21) as i32 - 10)
