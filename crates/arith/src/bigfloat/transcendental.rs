@@ -13,8 +13,8 @@
 //! [`fixed`](super::fixed): rectangular splitting, machine-integer
 //! coefficients), and rounds once more to the target:
 //!
-//! - **sin/cos/tan**: `r = a − k·π/2`, then `sin r = r·S(r²)` and
-//!   `cos r = C(r²)`, the Taylor series in `r²`.
+//! - **sin/cos/tan**: `r = a − k·π/2` with `k` nearest `a·(2/π)`, then
+//!   `sin r = r·S(r²)` and `cos r = C(r²)`, the Taylor series in `r²`.
 //! - **atan**: `|x| > 1` folds to `π/2 − atan(1/x)`; then
 //!   `atan x = atan(j/64) + atan(d)` with `d = (x − j/64)/(1 + x·j/64)`,
 //!   `|d| ≤ 2^-7`, from a per-thread table of `atan(j/64)`. asin, acos and
@@ -22,8 +22,8 @@
 //! - **log**: `a = m·2^e` with `m ∈ [3/4, 3/2]`; `m·k/128 = 1 + δ` exactly
 //!   for the integer `k` nearest `128/m`, and `ln m = 2·atanh(δ/(2+δ)) −
 //!   ln(k/128)` from a per-thread table. log10 and pow reuse it.
-//! - **exp**: `r = a − n·ln 2`, the Taylor series at `r/2^10`, ten
-//!   squarings.
+//! - **exp**: `r = a − n·ln 2` with `n` nearest `a·(1/ln 2)`, the Taylor
+//!   series at `r/2^10`, ten squarings.
 //!
 //! # Precision policy
 //!
@@ -39,10 +39,11 @@
 //! term-by-term loops kept: every term down to the first whose `wp`-bit
 //! value lies below `2^-wp` (absolute). That cutoff is what makes
 //! `sin x = x` and `cos x = 1` for tiny `x` before the final directed
-//! rounding. The term count comes from a `log2` estimate, with the exact
-//! term computed the old way when the estimate is too close to call, and
-//! series of at most three terms are still summed term by term. The
-//! atan and atanh series stop at a relative `2^-wp` instead.
+//! rounding. The term count comes from an `f64` estimate of each term's
+//! magnitude, with the exact term computed as those loops did when the
+//! estimate is too close to call, and series of at most three terms are
+//! still summed term by term. The atan and atanh series stop at a
+//! relative `2^-wp` instead.
 //!
 //! # Results
 //!
@@ -57,8 +58,12 @@
 //! sqrt-halving one alike. Both therefore round to the same 200 bits
 //! unless the true value lies within about `2^-270` of a rounding
 //! boundary, or in the tiny-argument ranges where the former scheme's
-//! cutoffs, not its accuracy, decided the last bits. `bigfloat_pin` and
-//! the `paper-bf200` output digests pin the results.
+//! cutoffs, not its accuracy, decided the last bits. The two schemes also
+//! differ where the former one was off by more than an ulp: atan of
+//! arguments between about 2^-140 and 2^-89 (its halvings dropped part of
+//! the cubic term) and ln a for a within about 2^-95 of 1 (its square
+//! roots lost the low bits of a − 1). `bigfloat_pin` and the
+//! `paper-bf200` output digests pin the results.
 
 use super::fixed::{self, Fixed};
 use super::{
