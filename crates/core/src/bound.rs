@@ -536,6 +536,42 @@ mod tests {
     }
 
     #[test]
+    fn plan_resolve_matches_bind_on_workload_code() {
+        // The same agreement over real code: every statically plannable
+        // instruction in the ten Tiny workloads, resolved on a machine
+        // loaded with its program under several seeded register states.
+        use fpvm_ir::{compile, CompileMode};
+        use fpvm_workloads::{all_workloads, Lcg, Size};
+        for w in all_workloads(Size::Tiny) {
+            let p = compile(&w.module, CompileMode::Native).program;
+            let mut m = Machine::new(CostModel::r815());
+            m.load_program(&p);
+            let mut statics = 0;
+            for (rip, inst, len) in p.disassemble() {
+                let next = rip + len as u64;
+                let Planability::Static(planned) = plan(&inst, next) else {
+                    continue;
+                };
+                statics += 1;
+                for seed in 1..=3u64 {
+                    let mut rng = Lcg(seed ^ rip);
+                    m.gpr = std::array::from_fn(|_| rng.next());
+                    m.xmm = std::array::from_fn(|_| [rng.next(), rng.next()]);
+                    let fresh = bind(&m, &inst, next).unwrap();
+                    let cached = planned.resolve(&m);
+                    assert_eq!(
+                        format!("{fresh:?}"),
+                        format!("{cached:?}"),
+                        "{} at {rip:#x}: {inst:?}",
+                        w.name
+                    );
+                }
+            }
+            assert!(statics > 0, "{}: no statically plannable site", w.name);
+        }
+    }
+
+    #[test]
     fn mask_dependent_ops_are_dynamic() {
         // XorPd/AndPd read the mask value at bind time, so their plans
         // must never be memoized (a cached Neg could replay after the
