@@ -1,21 +1,15 @@
-//! Emulate-cache microbenchmarks: the per-trap cost of a full `bind`
+//! Bound-plan microbenchmark: the per-trap cost of a full `bind`
 //! (decode-derived operand walk + effective-address resolution) against
-//! resolving a memoized [`BoundPlan`], plus the end-to-end effect of the
-//! emulate cache (on / off) on a real trapping workload.
+//! resolving a memoized [`BoundPlan`].
 //!
-//! With `emulate_cache` on, the trap cache stores the decoded instruction
-//! *and* its bound operand plan per rip, so a hot trap replaces the bind stage with
+//! The trap cache stores the decoded instruction *and* its bound operand
+//! plan per rip, so a hot trap replaces the bind stage with
 //! `plan.resolve(m)` — only memory operands re-derive their effective
-//! address. This bench demonstrates the resolve path beats bind-every-trap
-//! (the acceptance gate for the cache's existence).
+//! address. This bench shows what the stored plan saves per trap.
 
-use fpvm_arith::Vanilla;
 use fpvm_bench::microbench::{bench_ns, black_box};
-use fpvm_core::runtime::{Fpvm, FpvmConfig};
 use fpvm_core::{bind, plan, Planability};
-use fpvm_ir::{compile, CompileMode};
 use fpvm_machine::{CostModel, Gpr, Inst, Machine, Mem, Xmm, XM};
-use fpvm_workloads::{lorenz, Size};
 
 fn main() {
     println!("== emulate cache: bind-every-trap vs plan.resolve (per trap) ==");
@@ -63,38 +57,5 @@ fn main() {
     println!(
         "plan.resolve is {:.2}x the bind-every-trap cost (< 1.0 means the cache pays)",
         resolve_ns / bind_ns
-    );
-
-    println!();
-    println!("== emulate cache: end-to-end (lorenz/tiny, Vanilla, R815) ==");
-    let w = lorenz::workload(Size::Tiny);
-    let compiled = compile(&w.module, CompileMode::Native);
-    let run_mode = |name: &str, cfg: FpvmConfig| {
-        let mut last = (0u64, 0u64);
-        let ns = bench_ns(&format!("emulate_cache/{name}/lorenz_tiny_run"), || {
-            let mut m = Machine::new(CostModel::r815());
-            m.load_program(&compiled.program);
-            let mut fpvm = Fpvm::new(Vanilla, cfg);
-            let r = fpvm.run(&mut m);
-            last = (r.stats.fp_traps, r.stats.decode_hits);
-            black_box(r.cycles)
-        });
-        println!(
-            "    {name}: {} traps, {} decode hits, {:.0} ns/run",
-            last.0, last.1, ns
-        );
-        ns
-    };
-    let on = run_mode("ecache_on", FpvmConfig::default());
-    let off = run_mode(
-        "ecache_off",
-        FpvmConfig {
-            emulate_cache: false,
-            ..FpvmConfig::default()
-        },
-    );
-    println!(
-        "emulate cache on is {:.2}x the bind-every-trap run (< 1.0 means faster)",
-        on / off
     );
 }

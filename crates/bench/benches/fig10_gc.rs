@@ -1,9 +1,8 @@
 //! Fig. 10 microbenchmark: garbage collector pass latency as a function of
-//! live shadow population, serial vs parallel mark (the DESIGN.md
-//! parallel-GC ablation). Each timed iteration rebuilds the arena + guest
-//! memory (collect mutates both), so the printed number includes that
-//! fixed setup; it is identical across the serial/parallel pair being
-//! compared.
+//! live shadow population. The collector is the paper's serial
+//! mark-and-sweep. Each timed iteration rebuilds the arena + guest memory
+//! (collect mutates both), so the printed number includes that fixed
+//! setup.
 
 use fpvm_arith::ShadowArena;
 use fpvm_bench::microbench::bench_ns;
@@ -31,12 +30,10 @@ fn machine_with_boxes(arena: &mut ShadowArena<f64>, n: usize) -> Machine {
 fn main() {
     println!("== fig10: gc pass latency (setup + collect) ==");
     for &n in &[100usize, 1000, 10_000] {
-        for (mode, parallel) in [("serial", false), ("parallel", true)] {
-            bench_ns(&format!("fig10/gc_pass/{mode}/{n}"), || {
-                let mut arena = ShadowArena::new();
-                let m = machine_with_boxes(&mut arena, n);
-                gc::collect(&m, &mut arena, parallel)
-            });
-        }
+        bench_ns(&format!("fig10/gc_pass/serial/{n}"), || {
+            let mut arena = ShadowArena::new();
+            let m = machine_with_boxes(&mut arena, n);
+            gc::collect(&m, &mut arena)
+        });
     }
 }

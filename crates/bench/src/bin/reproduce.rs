@@ -86,10 +86,6 @@ const EXPERIMENTS: &[(&str, &str)] = &[
         "E16: observability — stage wall-clock timing, exporters, overhead",
     ),
     (
-        "speed",
-        "E17: raw interpreter speed — host-ns/trap, emulate cache on/off",
-    ),
-    (
         "sblock",
         "E18: superblock dispatch — ns/guest-inst, blocks on/off",
     ),
@@ -288,7 +284,15 @@ fn main() {
     }
     if want("loc") {
         ran = true;
-        archive("loc", &loc::loc_table(&PathBuf::from(".")));
+        let r = loc::loc_table(&PathBuf::from("."));
+        archive("loc", &r);
+        // Code size is a trajectory like the performance records.
+        let _ = trajectory::append_entry(
+            std::path::Path::new("BENCH_loc.json"),
+            "loc",
+            &trajectory::run_meta(false),
+            &r.to_json(),
+        );
     }
     if want("trace") || trace_mode {
         ran = true;
@@ -334,31 +338,13 @@ fn main() {
             std::process::exit(1);
         }
     }
-    if want("speed") {
-        ran = true;
-        let r = exp::speed(size == Size::Tiny);
-        archive("speed", &r);
-        let _ = trajectory::append_entry(
-            std::path::Path::new("BENCH_speed.json"),
-            "speed",
-            &trajectory::run_meta(size == Size::Tiny),
-            &r.to_json(),
-        );
-        if !r.deterministic {
-            eprintln!("SPEED DETERMINISM FAILED: an emulate-cache mode changed results");
-            std::process::exit(1);
-        }
-        if !r.fig9_pinned {
-            eprintln!("SPEED FIG9 PIN FAILED: cycle accounting moved with the emulate cache");
-            std::process::exit(1);
-        }
-    }
     if want("sblock") {
         ran = true;
         let r = exp::sblock(size == Size::Tiny);
         archive("sblock", &r);
-        // Shares the E17 trajectory file (the ns/guest-inst trend lives in
-        // one place); the record's `experiment` field discriminates rows.
+        // The ns/guest-inst trend lives in BENCH_speed.json, which also
+        // holds older E17 rows; the record's `experiment` field tells
+        // them apart.
         let _ = trajectory::append_entry(
             std::path::Path::new("BENCH_speed.json"),
             "speed",

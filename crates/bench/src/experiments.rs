@@ -9,7 +9,9 @@
 use crate::json::json_struct;
 use crate::microbench::paired_lower_quartile;
 use crate::trace::JsonlTraceSink;
-use crate::{commas, run_hybrid, run_hybrid_owned, run_hybrid_with, run_native, slowdown_str};
+use crate::{
+    commas, output_fnv, run_hybrid, run_hybrid_owned, run_hybrid_with, run_native, slowdown_str,
+};
 use fpvm_arith::{bigfloat, BigFloat, BigFloatCtx, PositCtx, Round, Vanilla};
 use fpvm_core::{Component, FanoutSink, Fpvm, FpvmConfig, ProfilerSink};
 use fpvm_ir::{compile, CompileMode};
@@ -1262,23 +1264,6 @@ fn heap_name(h: fpvm_analysis::HeapModel) -> &'static str {
     }
 }
 
-/// FNV-1a over the guest's output events (the bit-identity fingerprint
-/// shared with the Fig. 9 baseline pin).
-fn output_fnv(out: &[OutputEvent]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for ev in out {
-        let bits = match ev {
-            OutputEvent::F64(b) => *b,
-            OutputEvent::I64(v) => *v as u64,
-        };
-        for byte in bits.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
 /// The deterministic slice of one run's Fig. 9 accounting: everything the
 /// static-analysis configuration must NOT perturb. Correctness-trap
 /// components, promotions/demotions, and icount legitimately move with
@@ -2018,243 +2003,6 @@ pub fn obs(smoke: bool) -> ObsResult {
 }
 
 // ---------------------------------------------------------------------------
-// E17: raw interpreter speed — host-ns/trap and host-ns/guest-instruction
-// ---------------------------------------------------------------------------
-
-/// One workload's speed measurement (one `BENCH_speed.json` row).
-#[derive(Debug, Clone)]
-pub struct SpeedRow {
-    pub workload: String,
-    pub fp_traps: u64,
-    pub icount: u64,
-    /// Lower-quartile-pair wall with the emulate cache on (ns).
-    pub wall_on_ns: u64,
-    /// Same pair's wall with the cache off — bind every trap (ns).
-    pub wall_off_ns: u64,
-    /// Host ns per FP trap, emulate cache on.
-    pub ns_per_trap: f64,
-    /// Host ns per guest instruction retired, emulate cache on.
-    pub ns_per_guest_inst: f64,
-    /// `wall_off / wall_on`: > 1 means the cache pays on this workload.
-    pub speedup: f64,
-    /// Deterministic views + outputs bit-identical across ecache
-    /// on / off and across engine reuse.
-    pub deterministic: bool,
-}
-
-/// The archived E17 record (one `BENCH_speed.json` entry).
-#[derive(Debug, Clone)]
-pub struct SpeedResult {
-    pub workloads: u64,
-    pub reps: u64,
-    /// Microbench: one full bind of the 3-inst mix (ns).
-    pub bind_ns: f64,
-    /// Microbench: resolving the memoized plans for the same mix (ns).
-    pub resolve_ns: f64,
-    /// `resolve_ns / bind_ns`: < 1 means the cached hit path is cheaper.
-    pub resolve_vs_bind: f64,
-    /// Geometric-mean end-to-end speedup across workloads.
-    pub speedup_geomean: f64,
-    /// Every row's determinism gate held.
-    pub deterministic: bool,
-    /// Fig. 9 deterministic stats bit-identical across all three emulate
-    /// cache modes (fbench + lorenz, bigfloat-200, R815).
-    pub fig9_pinned: bool,
-    pub rows: Vec<SpeedRow>,
-}
-
-/// E17: raw interpreter speed. Measures host-ns/trap and host-ns/guest-
-/// instruction across all ten workloads (Vanilla arithmetic so the trap
-/// path, not the arithmetic system, dominates), with the emulate cache on
-/// vs off in alternating pairs (lower-quartile pair by ratio, the E16
-/// protocol); gates per-workload determinism across the three emulate
-/// cache modes and engine reuse; pins the Fig. 9 cycle accounting across
-/// the same modes on the paper configuration; and microbenches the hit
-/// path (`plan.resolve`) against bind-every-trap.
-pub fn speed(smoke: bool) -> SpeedResult {
-    use crate::microbench::{bench_ns, black_box};
-    use fpvm_analysis::analyze_and_patch;
-    use fpvm_core::{bind, plan, Planability};
-    use fpvm_machine::{Gpr, Inst, Mem, Xmm, XM};
-
-    println!("== E17: raw interpreter speed — host-ns/trap, ns/guest-inst (Vanilla, R815) ==");
-    let size = if smoke { Size::Tiny } else { Size::S };
-    let reps = if smoke { 3usize } else { 7 };
-
-    // -- Microbench: the hit path against bind-every-trap ------------------
-    let mut mb = Machine::new(CostModel::r815());
-    mb.gpr[Gpr::RSP.0 as usize] = 0x40_0000;
-    let mix = [
-        Inst::AddSd {
-            dst: Xmm(0),
-            src: XM::Reg(Xmm(1)),
-        },
-        Inst::MulSd {
-            dst: Xmm(2),
-            src: XM::Mem(Mem::base_disp(Gpr::RSP, 8)),
-        },
-        Inst::MulPd {
-            dst: Xmm(3),
-            src: XM::Mem(Mem::base_disp(Gpr::RSP, 16)),
-        },
-    ];
-    let plans: Vec<_> = mix
-        .iter()
-        .map(|i| match plan(i, 0x2000) {
-            Planability::Static(p) => p,
-            other => panic!("microbench mix must be statically plannable, got {other:?}"),
-        })
-        .collect();
-    let bind_ns = bench_ns("speed/bind_every_trap_x3", || {
-        let mut lanes = 0u32;
-        for i in &mix {
-            lanes += bind(&mb, i, 0x2000)
-                .map(|b| b.lanes.iter().flatten().count() as u32)
-                .unwrap_or(0);
-        }
-        black_box(lanes)
-    });
-    let resolve_ns = bench_ns("speed/plan_resolve_x3", || {
-        let mut lanes = 0u32;
-        for p in &plans {
-            lanes += p.resolve(&mb).lanes.iter().flatten().count() as u32;
-        }
-        black_box(lanes)
-    });
-    println!(
-        "hit path: plan.resolve is {:.2}x the bind cost (< 1.0 means the cache pays per trap)",
-        resolve_ns / bind_ns
-    );
-    println!();
-
-    // -- Per-workload timing + determinism ---------------------------------
-    println!(
-        "{:<18} {:>10} {:>11} {:>11} {:>11} {:>9} {:>8} {:>13}",
-        "benchmark", "traps", "wall_on_ms", "ns/trap", "ns/g-inst", "speedup", "determ.", "icount"
-    );
-    let ecache_off = |cfg: FpvmConfig| FpvmConfig {
-        emulate_cache: false,
-        ..cfg
-    };
-    let mut rows: Vec<SpeedRow> = Vec::new();
-    for w in all_workloads(size) {
-        let c = compile(&w.module, CompileMode::Native);
-        let patched = analyze_and_patch(&c.program);
-        let run_one = |cfg: FpvmConfig, vm: &mut Fpvm<Vanilla>| {
-            let mut m = Machine::new(CostModel::r815());
-            m.load_program(&patched.program);
-            vm.recycle(cfg);
-            vm.set_side_table(patched.side_table.clone());
-            let r = vm.run(&mut m);
-            assert_eq!(r.exit, fpvm_core::ExitReason::Halted, "{}", w.name);
-            (r, m.output)
-        };
-        let fresh_run = |cfg: FpvmConfig| {
-            let mut vm = Fpvm::new(Vanilla, cfg);
-            run_one(cfg, &mut vm)
-        };
-
-        // Determinism gate: both emulate-cache modes and an engine reused
-        // across runs must agree on the deterministic view and the guest
-        // output.
-        let (r_on, out_on) = fresh_run(FpvmConfig::default());
-        let (r_off, out_off) = fresh_run(ecache_off(FpvmConfig::default()));
-        let (r_reuse, out_reuse) = {
-            let mut vm = Fpvm::new(Vanilla, FpvmConfig::default());
-            let _ = run_one(FpvmConfig::default(), &mut vm);
-            run_one(FpvmConfig::default(), &mut vm)
-        };
-        let base_view = r_on.stats.deterministic_view();
-        let deterministic = [&r_off, &r_reuse]
-            .iter()
-            .all(|r| r.stats.deterministic_view() == base_view)
-            && out_off == out_on
-            && out_reuse == out_on;
-
-        // Timing: paired (off, on) reps (the E16 protocol).
-        let _ = fresh_run(FpvmConfig::default()); // warm-up
-        let ((wall_off_ns, ()), (wall_on_ns, ())) = paired_lower_quartile(
-            reps,
-            || (fresh_run(ecache_off(FpvmConfig::default())).0.wall_ns, ()),
-            || (fresh_run(FpvmConfig::default()).0.wall_ns, ()),
-        );
-        let traps = r_on.stats.fp_traps;
-        let row = SpeedRow {
-            workload: w.name.to_string(),
-            fp_traps: traps,
-            icount: r_on.icount,
-            wall_on_ns,
-            wall_off_ns,
-            ns_per_trap: wall_on_ns as f64 / traps.max(1) as f64,
-            ns_per_guest_inst: wall_on_ns as f64 / r_on.icount.max(1) as f64,
-            speedup: wall_off_ns as f64 / wall_on_ns.max(1) as f64,
-            deterministic,
-        };
-        println!(
-            "{:<18} {:>10} {:>11.2} {:>11.0} {:>11.1} {:>8.2}x {:>8} {:>13}",
-            row.workload,
-            commas(row.fp_traps),
-            row.wall_on_ns as f64 / 1e6,
-            row.ns_per_trap,
-            row.ns_per_guest_inst,
-            row.speedup,
-            if row.deterministic { "yes" } else { "NO" },
-            commas(row.icount)
-        );
-        rows.push(row);
-    }
-    let deterministic = rows.iter().all(|r| r.deterministic);
-    let speedup_geomean = (rows
-        .iter()
-        .map(|r| r.speedup.max(f64::MIN_POSITIVE).ln())
-        .sum::<f64>()
-        / rows.len().max(1) as f64)
-        .exp();
-
-    // -- Fig. 9 pin on the paper configuration -----------------------------
-    // The deterministic cycle accounting must be bit-identical whether the
-    // emulate cache is on or off.
-    let mut fig9_pinned = true;
-    for w in [
-        fpvm_workloads::fbench::workload(Size::Tiny),
-        lorenz::workload(Size::Tiny),
-    ] {
-        let run_mode = |cfg: FpvmConfig| {
-            let (report, _, _) =
-                run_hybrid(&w, BigFloatCtx::new(PAPER_PREC), CostModel::r815(), cfg);
-            report.stats.deterministic_view()
-        };
-        fig9_pinned &=
-            run_mode(FpvmConfig::default()) == run_mode(ecache_off(FpvmConfig::default()));
-    }
-    println!();
-    println!(
-        "geomean speedup {speedup_geomean:.2}x; deterministic: {}; Fig. 9 pinned \
-         across ecache modes: {}",
-        if deterministic { "yes" } else { "NO" },
-        if fig9_pinned { "yes" } else { "NO" }
-    );
-    if !deterministic {
-        println!("DETERMINISM VIOLATION: an emulate-cache mode changed a deterministic stat");
-    }
-    if !fig9_pinned {
-        println!("FIG. 9 PIN VIOLATION: cycle accounting moved with the emulate cache");
-    }
-    println!();
-    SpeedResult {
-        workloads: rows.len() as u64,
-        reps: reps as u64,
-        bind_ns,
-        resolve_ns,
-        resolve_vs_bind: resolve_ns / bind_ns,
-        speedup_geomean,
-        deterministic,
-        fig9_pinned,
-        rows,
-    }
-}
-
-// ---------------------------------------------------------------------------
 // E18: superblock dispatch — ns/guest-instruction, blocks on vs off
 // ---------------------------------------------------------------------------
 
@@ -2280,13 +2028,13 @@ pub struct SblockRow {
     /// `wall_off / wall_on`: > 1 means block dispatch pays here.
     pub speedup: f64,
     /// Deterministic views, machine accounting (`icount`/`fp_icount`) and
-    /// guest outputs bit-identical across superblocks on / off / capped-3
-    /// / passthrough (cap 1) and engine reuse.
+    /// guest outputs bit-identical across superblocks on / off and engine
+    /// reuse.
     pub deterministic: bool,
 }
 
 /// The archived E18 record (one `BENCH_speed.json` entry; the `experiment`
-/// field discriminates sblock rows from E17 speed rows in the shared
+/// field discriminates sblock rows from the retired E17 speed rows in the shared
 /// trajectory file).
 #[derive(Debug, Clone)]
 pub struct SblockResult {
@@ -2298,7 +2046,7 @@ pub struct SblockResult {
     /// Every row's determinism gate held.
     pub deterministic: bool,
     /// Fig. 9 deterministic stats bit-identical across superblocks
-    /// on/off/capped/passthrough (fbench + lorenz, bigfloat-200, R815).
+    /// on/off (fbench + lorenz, bigfloat-200, R815).
     pub fig9_pinned: bool,
     /// The same pin under trap-and-patch (blocks truncated at patched
     /// sites must re-form without moving a deterministic stat).
@@ -2312,8 +2060,8 @@ pub struct SblockResult {
 /// E18: superblock dispatch. Measures host-ns/guest-instruction across all
 /// ten workloads (Vanilla arithmetic, R815) with the machine's superblock
 /// engine on vs off in alternating pairs (lower-quartile pair by ratio,
-/// the E16/E17 protocol); gates per-workload determinism across superblock
-/// on/off/capped/passthrough modes and engine reuse; pins the Fig. 9 cycle
+/// the E16 protocol); gates per-workload determinism across superblock
+/// on/off and engine reuse; pins the Fig. 9 cycle
 /// accounting across the same modes on the paper configuration, under
 /// trap-and-patch, and across 1/2/4 fleet workers.
 pub fn sblock(smoke: bool) -> SblockResult {
@@ -2324,10 +2072,6 @@ pub fn sblock(smoke: bool) -> SblockResult {
     let reps = if smoke { 3usize } else { 7 };
     let sb_off = |cfg: FpvmConfig| FpvmConfig {
         superblocks: false,
-        ..cfg
-    };
-    let sb_cap = |cfg: FpvmConfig, cap: u32| FpvmConfig {
-        superblock_cap: cap,
         ..cfg
     };
 
@@ -2359,13 +2103,11 @@ pub fn sblock(smoke: bool) -> SblockResult {
             (r, m.output, st)
         };
 
-        // Determinism gate: four superblock modes plus an engine reused
+        // Determinism gate: superblocks on and off plus an engine reused
         // across two runs must agree on the deterministic view, the raw
         // machine accounting, and the guest output.
         let (r_on, out_on, _) = fresh_run(FpvmConfig::default());
         let (r_off, out_off, _) = fresh_run(sb_off(FpvmConfig::default()));
-        let (r_c3, out_c3, _) = fresh_run(sb_cap(FpvmConfig::default(), 3));
-        let (r_c1, out_c1, _) = fresh_run(sb_cap(FpvmConfig::default(), 1));
         let (r_reuse, out_reuse, _) = {
             let mut vm = Fpvm::new(Vanilla, FpvmConfig::default());
             let run_one = |vm: &mut Fpvm<Vanilla>| {
@@ -2386,14 +2128,12 @@ pub fn sblock(smoke: bool) -> SblockResult {
         // machine accounting compared here is icount/fp_icount; exact
         // cycle equality is pinned at machine level (fpvm_machine::block).
         let accounting = |r: &fpvm_core::RunReport| (r.icount, r.fp_icount);
-        let deterministic = [&r_off, &r_c3, &r_c1, &r_reuse].iter().all(|r| {
+        let deterministic = [&r_off, &r_reuse].iter().all(|r| {
             r.stats.deterministic_view() == base_view && accounting(r) == accounting(&r_on)
         }) && out_off == out_on
-            && out_c3 == out_on
-            && out_c1 == out_on
             && out_reuse == out_on;
 
-        // Timing: paired (off, on) reps (the E16/E17 protocol); the
+        // Timing: paired (off, on) reps (the E16 protocol); the
         // on-run also reports its superblock counters.
         let _ = fresh_run(FpvmConfig::default()); // warm-up
         let ((wall_off_ns, ()), (wall_on_ns, st)) = paired_lower_quartile(
@@ -2440,7 +2180,7 @@ pub fn sblock(smoke: bool) -> SblockResult {
 
     // -- Fig. 9 pin on the paper configuration -----------------------------
     // The deterministic cycle accounting must be bit-identical whether the
-    // machine dispatches superblocks, steps, or caps blocks short.
+    // machine dispatches superblocks or steps.
     let mut fig9_pinned = true;
     for w in [
         fpvm_workloads::fbench::workload(Size::Tiny),
@@ -2456,15 +2196,7 @@ pub fn sblock(smoke: bool) -> SblockResult {
             );
             (report.stats.deterministic_view(), out)
         };
-        let on = run_mode(FpvmConfig::default());
-        for cfg in [
-            sb_off(FpvmConfig::default()),
-            sb_cap(FpvmConfig::default(), 3),
-            sb_cap(FpvmConfig::default(), 1),
-        ] {
-            let m = run_mode(cfg);
-            fig9_pinned &= m == on;
-        }
+        fig9_pinned &= run_mode(FpvmConfig::default()) == run_mode(sb_off(FpvmConfig::default()));
     }
 
     // -- The same pin under trap-and-patch ---------------------------------
@@ -2547,30 +2279,6 @@ pub fn sblock(smoke: bool) -> SblockResult {
 // ---------------------------------------------------------------------------
 // JSON archival encodings
 // ---------------------------------------------------------------------------
-
-json_struct!(SpeedRow {
-    workload,
-    fp_traps,
-    icount,
-    wall_on_ns,
-    wall_off_ns,
-    ns_per_trap,
-    ns_per_guest_inst,
-    speedup,
-    deterministic,
-});
-
-json_struct!(SpeedResult {
-    workloads,
-    reps,
-    bind_ns,
-    resolve_ns,
-    resolve_vs_bind,
-    speedup_geomean,
-    deterministic,
-    fig9_pinned,
-    rows,
-});
 
 json_struct!(SblockRow {
     workload,

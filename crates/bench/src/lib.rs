@@ -98,6 +98,23 @@ pub fn run_hybrid_owned<A: ArithSystem>(
     (report, m.output, patched.analysis.stats, rt)
 }
 
+/// FNV-1a over the guest's output events, little-endian per event: the
+/// bit-identity fingerprint the pins and experiments compare.
+pub fn output_fnv(out: &[OutputEvent]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for ev in out {
+        let bits = match ev {
+            OutputEvent::F64(b) => *b,
+            OutputEvent::I64(v) => *v as u64,
+        };
+        for byte in bits.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
 /// Format a count with thousands separators.
 pub fn commas(n: u64) -> String {
     let s = n.to_string();

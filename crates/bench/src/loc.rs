@@ -20,6 +20,17 @@ json_struct!(LocRow {
     lines,
 });
 
+/// The whole inventory (one `BENCH_loc.json` trajectory entry).
+#[derive(Debug, Clone)]
+pub struct LocResult {
+    /// Non-blank lines of Rust across every component.
+    pub total: usize,
+    /// Per-component counts.
+    pub components: Vec<LocRow>,
+}
+
+json_struct!(LocResult { total, components });
+
 fn count_dir(dir: &Path) -> usize {
     let mut total = 0;
     if let Ok(entries) = std::fs::read_dir(dir) {
@@ -60,7 +71,7 @@ fn role(component: &str) -> &'static str {
 /// top-level `tests/` (paper §5.5 reports 6,300 lines of C/C++ for the
 /// trap-and-emulate component + 1,484 lines of Python for the analyzer +
 /// ~350 lines per arithmetic binding).
-pub fn loc_table(repo_root: &Path) -> Vec<LocRow> {
+pub fn loc_table(repo_root: &Path) -> LocResult {
     println!("== §5.5 software engineering complexity (non-blank Rust lines) ==");
     let mut components: Vec<String> = std::fs::read_dir(repo_root.join("crates"))
         .into_iter()
@@ -85,7 +96,10 @@ pub fn loc_table(repo_root: &Path) -> Vec<LocRow> {
     let total: usize = rows.iter().map(|r| r.lines).sum();
     println!("{:<20} {total:>7}", "total");
     println!("(paper: 6,300 C/C++ trap-and-emulate, 1,484 Python analyzer, ~350/binding)\n");
-    rows
+    LocResult {
+        total,
+        components: rows,
+    }
 }
 
 #[cfg(test)]
@@ -95,11 +109,13 @@ mod tests {
     #[test]
     fn counts_every_crate_and_the_integration_tests() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let rows = loc_table(&root);
+        let inv = loc_table(&root);
+        let rows = &inv.components;
         let names: Vec<&str> = rows.iter().map(|r| r.component.as_str()).collect();
         for want in ["crates/conformance", "crates/fleet", "crates/obs", "tests"] {
             assert!(names.contains(&want), "{want} missing from {names:?}");
         }
         assert!(rows.iter().all(|r| r.lines > 0 && !r.role.is_empty()));
+        assert_eq!(inv.total, rows.iter().map(|r| r.lines).sum::<usize>());
     }
 }

@@ -14,26 +14,10 @@
 //! trapping. Guest outputs are bit-identical to the previous capture.
 
 use fpvm_arith::BigFloatCtx;
-use fpvm_bench::run_hybrid;
+use fpvm_bench::{output_fnv, run_hybrid};
 use fpvm_core::{Component, FpvmConfig, Stats};
-use fpvm_machine::{CostModel, OutputEvent};
+use fpvm_machine::CostModel;
 use fpvm_workloads::{fbench, lorenz, Size};
-
-/// FNV-1a over the guest's output events, little-endian per event.
-fn fnv(out: &[OutputEvent]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for ev in out {
-        let bits = match ev {
-            OutputEvent::F64(b) => *b,
-            OutputEvent::I64(v) => *v as u64,
-        };
-        for byte in bits.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
 
 /// Deterministic fingerprint of one hybrid run.
 #[derive(Debug, PartialEq, Eq)]
@@ -80,7 +64,7 @@ fn run(w: &fpvm_workloads::Workload) -> (Stats, Baseline) {
         decode: c.get(Component::Decode),
         bind: c.get(Component::Bind),
         outputs: out.len(),
-        output_fnv: fnv(&out),
+        output_fnv: output_fnv(&out),
         icount: report.icount,
     };
     // The default config installs no software traps, so those components

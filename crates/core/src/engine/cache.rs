@@ -15,10 +15,10 @@
 //! XorPd/AndPd mask inspection) and unbindable shapes are cached with no
 //! plan, so a hit can never replay a machine-state-dependent decision.
 //!
-//! The cache changes *host* work only: a hit performs the same tallies,
-//! charges the same deterministic cycles, and emits the same trace events
-//! as a full decode plus a fresh bind, so Fig. 9 accounting is
-//! bit-identical with `decode_cache`/`emulate_cache` on or off.
+//! A stored plan changes *host* work only: resolving it yields exactly
+//! what a fresh bind would. The `decode_cache: false` ablation leaves the
+//! cache empty, so every trap pays the miss-path decode cost; Fig. 9
+//! accounting outside the Decode component is the same either way.
 
 use crate::bound::BoundPlan;
 use fpvm_machine::{Inst, CODE_BASE};

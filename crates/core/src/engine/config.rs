@@ -1,41 +1,28 @@
 //! Runtime configuration.
 
-use fpvm_machine::{DeliveryMode, DEFAULT_BLOCK_CAP};
+use fpvm_machine::DeliveryMode;
 
 /// Runtime configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct FpvmConfig {
     /// How traps reach the runtime (cost model only; §6).
     pub delivery: DeliveryMode,
-    /// Fill the trap cache with decoded instructions (§5.3 footnote 8
-    /// ablation: off, every trap pays a full decode).
+    /// Fill the trap cache with decoded instructions and their static
+    /// bound plans (§5.3 footnote 8 ablation: off, every trap pays a full
+    /// decode and bind).
     pub decode_cache: bool,
-    /// Also memoize each statically bound operand plan in the trap cache,
-    /// so hot traps skip the bind stage's instruction-shape match. Only
-    /// effective when `decode_cache` is also on. Cycle accounting is
-    /// bit-identical on/off — the plan changes host work only.
-    pub emulate_cache: bool,
     /// Interpose libm calls onto the arithmetic system (the math wrapper).
     pub interpose_math: bool,
-    /// Interpose output calls (the output wrapper).
-    pub interpose_output: bool,
     /// GC epoch in retired guest instructions (the paper uses a 1 s timer;
     /// instruction count is the deterministic analogue).
     pub gc_epoch: u64,
     /// Arena-pressure GC trigger (live cells).
     pub gc_pressure: usize,
-    /// Use the parallel mark phase.
-    pub gc_parallel: bool,
     /// Enable the trap-and-patch engine (§3.2).
     pub trap_and_patch: bool,
     /// Dispatch correctness traps as direct calls instead of full traps
     /// (the §5.3 "matter of implementation effort" optimization).
     pub correctness_as_call: bool,
-    /// Strawman: demote every emulated result immediately (the rejected
-    /// "demote on every store" design of §4.2 — "obviates the goal of
-    /// using the alternative arithmetic system, but guarantees
-    /// correctness").
-    pub always_demote: bool,
     /// §6.2 hardware extension: assume trap-on-NaN-load + NaN checks on all
     /// FP-adjacent instructions. Makes the FP ISA fully virtualizable —
     /// **no static analysis or binary patching needed** ("If the hardware
@@ -62,13 +49,9 @@ pub struct FpvmConfig {
     /// Superblock dispatch in the machine (`fpvm_machine::block`): the
     /// interpreter executes pre-decoded runs of straight-line,
     /// non-trapping guest code as a unit between traps. Accounting is
-    /// pinned bit-identical on/off/capped — the block engine may only
+    /// pinned bit-identical on/off — the block engine may only
     /// move host wall time (`crates/bench/tests/sblock_pin.rs`, E18).
     pub superblocks: bool,
-    /// Superblock formation cap: max instructions per block. A cap of 1
-    /// cannot reach the two-instruction formation minimum, so it
-    /// degenerates to the stepped loop (the passthrough ablation).
-    pub superblock_cap: u32,
 }
 
 impl Default for FpvmConfig {
@@ -76,22 +59,17 @@ impl Default for FpvmConfig {
         FpvmConfig {
             delivery: DeliveryMode::UserSignal,
             decode_cache: true,
-            emulate_cache: true,
             interpose_math: true,
-            interpose_output: true,
             gc_epoch: 400_000,
             gc_pressure: 1 << 20,
-            gc_parallel: false,
             trap_and_patch: false,
             correctness_as_call: false,
-            always_demote: false,
             nan_load_hw: false,
             max_insts: 4_000_000_000,
             taint_oracle: false,
             metrics: false,
             metrics_sample_shift: 5,
             superblocks: true,
-            superblock_cap: DEFAULT_BLOCK_CAP,
         }
     }
 }

@@ -20,7 +20,7 @@ use super::Fpvm;
 use crate::bound::{self, bind, read_int_loc, read_loc, Bound, Dst};
 use crate::stats::Component;
 use crate::trace::TraceEvent;
-use fpvm_arith::{ArithSystem, CmpResult, FpFlags, Round, ScalarOp, ShadowArena};
+use fpvm_arith::{ArithSystem, CmpResult, FpFlags, ScalarOp, ShadowArena};
 use fpvm_machine::{Fault, Inst, Machine};
 use std::time::Instant;
 
@@ -38,12 +38,11 @@ impl Binder {
 /// What one evaluated lane wants to retire.
 #[derive(Debug, Clone, Copy)]
 pub enum LaneOutcome {
-    /// A boxed (or demoted, under `always_demote`) f64 result for an XMM
-    /// lane.
+    /// A boxed f64 result for an XMM lane.
     F64 {
         /// Destination lane.
         dst: Dst,
-        /// NaN-boxed (or demoted) result bits.
+        /// NaN-boxed result bits.
         bits: u64,
         /// Exception flags to raise.
         flags: FpFlags,
@@ -82,7 +81,6 @@ pub(crate) struct Emulator<'rt, A: ArithSystem> {
     pub arith: &'rt A,
     pub arena: &'rt mut ShadowArena<A::Value>,
     pub acct: &'rt mut Accounting,
-    pub always_demote: bool,
 }
 
 /// One lane source, read without cloning when possible: live arena cells
@@ -144,14 +142,8 @@ impl<'rt, A: ArithSystem> Emulator<'rt, A> {
     }
 
     /// Box a shadow value: allocate a cell and return the encoded sNaN
-    /// bits. Under `always_demote` the value is demoted immediately instead
-    /// (the §4.2 strawman).
+    /// bits.
     pub fn boxv(&mut self, v: A::Value) -> u64 {
-        if self.always_demote {
-            self.acct.tally(Counter::Demotions);
-            let (d, _) = self.arith.to_f64(&v, Round::NearestEven);
-            return d.to_bits();
-        }
         self.acct.tally(Counter::BoxesCreated);
         let key = self.arena.alloc(v);
         fpvm_nanbox::encode(key)
@@ -373,7 +365,6 @@ impl<A: ArithSystem> Fpvm<A> {
             arith: &self.arith,
             arena: &mut self.arena,
             acct: &mut self.acct,
-            always_demote: self.config.always_demote,
         }
     }
 }

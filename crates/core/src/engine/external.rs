@@ -73,7 +73,7 @@ impl<A: ArithSystem> Fpvm<A> {
             self.acct.stage_record(MetricStage::ExtCall, t0);
             return Ok(());
         }
-        if f == ExtFn::PrintF64 && self.config.interpose_output {
+        if f == ExtFn::PrintF64 {
             // The output wrapper: demote for printing without destroying
             // the box ("hijack such output functions … to promote %lf").
             self.acct.tally(Counter::OutputWrapped);

@@ -96,7 +96,7 @@ impl<A: ArithSystem> Fpvm<A> {
     /// The decode stage: consult the [`super::TrapCache`], fall back to a
     /// full decode on miss, and charge the stage through the accounting
     /// sink. A miss fills the cache unless `decode_cache` is off, with the
-    /// instruction's bound plan when it is static and `emulate_cache` is on.
+    /// instruction's bound plan when it is static.
     /// A plan is resolved in place against `m` (timed as the bind stage),
     /// so the hot path never copies it out of the cache.
     pub(crate) fn decode_at(
@@ -131,7 +131,7 @@ impl<A: ArithSystem> Fpvm<A> {
             return Err(ExitReason::error(Stage::Decode, rip));
         };
         let plan = match plan(&inst, rip + len as u64) {
-            Planability::Static(p) if self.config.emulate_cache => Some(p),
+            Planability::Static(p) => Some(p),
             _ => None,
         };
         if self.config.decode_cache {

@@ -298,7 +298,7 @@ impl<A: ArithSystem> Fpvm<A> {
         // machine may batch straight-line execution between traps, but
         // every deterministic stat and event the engine observes is
         // bit-identical to the stepped loop (E18 / sblock_pin tests).
-        m.set_superblocks(self.config.superblocks, self.config.superblock_cap);
+        m.superblocks = self.config.superblocks;
         // Cache identity = program content fingerprint ⊕ engine epoch: a
         // re-run of the same program on the same engine keeps its entries,
         // anything else — different program, same-length different
@@ -371,7 +371,7 @@ impl<A: ArithSystem> Fpvm<A> {
             return;
         }
         self.last_gc_icount = m.icount;
-        let rec = gc::collect(m, &mut self.arena, self.config.gc_parallel);
+        let rec = gc::collect(m, &mut self.arena);
         self.acct.record_gc(rec);
         let cyc = m.cost.ns_to_cycles(rec.ns);
         self.acct.charge(m, Component::Gc, cyc);
@@ -387,7 +387,7 @@ impl<A: ArithSystem> Fpvm<A> {
     /// Force a GC pass now (used by tests and the Fig. 10 harness).
     pub fn force_gc(&mut self, m: &mut Machine) -> crate::stats::GcRecord {
         self.last_gc_icount = m.icount;
-        let rec = gc::collect(m, &mut self.arena, self.config.gc_parallel);
+        let rec = gc::collect(m, &mut self.arena);
         self.acct.record_gc(rec);
         self.acct.emit(|| TraceEvent::GcPass {
             icount: m.icount,

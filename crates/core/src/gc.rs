@@ -13,16 +13,8 @@
 //! the live stack, and the XMM + GPR register files (a boxed value can sit
 //! in a GPR after a `movq` leak).
 //!
-//! An optional **parallel mark** phase splits the memory scan across
-//! scoped threads (an extension over the paper's collector; the ablation
-//! bench compares the two). The worker count is capped at the host's
-//! available parallelism rather than one thread per chunk, so a pass
-//! nested inside an `fpvm-fleet` worker (which already owns one core)
-//! degrades gracefully instead of oversubscribing the machine; fleet jobs
-//! normally leave `gc_parallel` off and let the fleet parallelize across
-//! guests instead. Candidate order never affects the outcome — marking is
-//! idempotent and the sweep reads only the mark bits — so serial and
-//! parallel passes free exactly the same cells.
+//! The pass is serial, as in the paper. Parallelism lives one level up:
+//! `fpvm-fleet` runs independent guests on separate workers.
 
 use crate::stats::GcRecord;
 use fpvm_arith::ShadowArena;
@@ -41,12 +33,11 @@ fn scan_range(bytes: &[u8], out: &mut Vec<ShadowKey>) {
 }
 
 /// Run one GC pass. Returns the pass record.
-pub fn collect<V>(m: &Machine, arena: &mut ShadowArena<V>, parallel: bool) -> GcRecord {
+pub fn collect<V>(m: &Machine, arena: &mut ShadowArena<V>) -> GcRecord {
     let start = Instant::now();
     let before = arena.live();
     arena.clear_marks();
     let rsp = m.gpr[4]; // RSP
-    let ranges = m.mem.writable_ranges(rsp);
     let mut scanned: u64 = 0;
     let mut candidates: Vec<ShadowKey> = Vec::new();
     // Register files first (cheap).
@@ -62,55 +53,10 @@ pub fn collect<V>(m: &Machine, arena: &mut ShadowArena<V>, parallel: bool) -> Gc
             candidates.push(k);
         }
     }
-    if parallel {
-        // Split every range into chunks, then scan them on a bounded set
-        // of scoped workers (not one thread per chunk: a pass running
-        // inside an already-parallel host, e.g. a fleet worker, must not
-        // oversubscribe the machine).
-        const CHUNK: usize = 256 * 1024;
-        let mut slices: Vec<&[u8]> = Vec::new();
-        for &(lo, hi) in &ranges {
-            if hi > lo {
-                scanned += hi - lo;
-                let s = m.mem.slice(lo, hi);
-                let mut off = 0;
-                while off < s.len() {
-                    let end = (off + CHUNK).min(s.len());
-                    slices.push(&s[off..end]);
-                    off = end;
-                }
-            }
-        }
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(slices.len().max(1));
-        let results: Vec<Vec<ShadowKey>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let slices = &slices;
-                    scope.spawn(move || {
-                        let mut v = Vec::new();
-                        // Round-robin chunk assignment: worker w scans
-                        // chunks w, w+workers, w+2*workers, …
-                        for s in slices.iter().skip(w).step_by(workers) {
-                            scan_range(s, &mut v);
-                        }
-                        v
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for v in results {
-            candidates.extend(v);
-        }
-    } else {
-        for &(lo, hi) in &ranges {
-            if hi > lo {
-                scanned += hi - lo;
-                scan_range(m.mem.slice(lo, hi), &mut candidates);
-            }
+    for (lo, hi) in m.mem.writable_ranges(rsp) {
+        if hi > lo {
+            scanned += hi - lo;
+            scan_range(m.mem.slice(lo, hi), &mut candidates);
         }
     }
     for key in candidates {
@@ -155,7 +101,7 @@ mod tests {
         m.mem.write_u64(DATA_BASE, encode(k_mem)).unwrap();
         m.xmm[7][1] = encode(k_reg);
         m.gpr[3] = encode(k_gpr);
-        let rec = collect(&m, &mut arena, false);
+        let rec = collect(&m, &mut arena);
         assert_eq!(rec.before, 4);
         assert_eq!(rec.freed, 1);
         assert_eq!(rec.alive, 3);
@@ -173,46 +119,15 @@ mod tests {
         let k = arena.alloc(5.0);
         let rsp = m.gpr[4];
         m.mem.write_u64(rsp + 8, encode(k)).unwrap();
-        collect(&m, &mut arena, false);
+        collect(&m, &mut arena);
         assert!(arena.contains(k), "value on the live stack must survive");
         // Value below rsp (dead frame) is NOT scanned: it gets collected —
         // this is exactly the implicit garbage collection by function
         // return the paper describes.
         let k2 = arena.alloc(6.0);
         m.mem.write_u64(rsp - 256, encode(k2)).unwrap();
-        collect(&m, &mut arena, false);
+        collect(&m, &mut arena);
         assert!(!arena.contains(k2), "dead-frame value must be collected");
-    }
-
-    #[test]
-    fn parallel_matches_serial() {
-        let mut m = machine();
-        let mut arena_s: ShadowArena<f64> = ShadowArena::new();
-        let mut arena_p: ShadowArena<f64> = ShadowArena::new();
-        let mut keys = Vec::new();
-        for i in 0..500 {
-            let ks = arena_s.alloc(i as f64);
-            let kp = arena_p.alloc(i as f64);
-            assert_eq!(ks, kp);
-            keys.push(ks);
-        }
-        // Scatter half of them in memory.
-        for (i, &k) in keys.iter().enumerate() {
-            if i % 2 == 0 {
-                m.mem
-                    .write_u64(DATA_BASE + 8 * (i as u64 % 8), encode(k))
-                    .unwrap();
-            }
-        }
-        // (Only 8 slots: later writes overwrite earlier ones; both
-        // collectors must agree exactly on what survives.)
-        let rs = collect(&m, &mut arena_s, false);
-        let rp = collect(&m, &mut arena_p, true);
-        assert_eq!(rs.freed, rp.freed);
-        assert_eq!(rs.alive, rp.alive);
-        for &k in &keys {
-            assert_eq!(arena_s.contains(k), arena_p.contains(k));
-        }
     }
 
     #[test]
@@ -225,7 +140,7 @@ mod tests {
         m.mem
             .write_u64(DATA_BASE + 8, 0x7FF0_0000_0000_9999)
             .unwrap(); // sNaN, never allocated
-        let rec = collect(&m, &mut arena, false);
+        let rec = collect(&m, &mut arena);
         assert_eq!(rec.freed, 0);
         assert_eq!(rec.alive, 0);
     }

@@ -170,5 +170,17 @@ fn decode_cache_ablation_still_functional() {
     assert_eq!(out_on, out_off);
     assert_eq!(off.stats.decode_hits, 0);
     assert_eq!(off.stats.decode_misses, off.stats.fp_traps);
-    assert!(off.cycles > on.cycles, "no cache must cost more cycles");
+    // Compare the deterministic view: raw `cycles` include emulate cycles
+    // converted from host ns, so they move with host load.
+    let mut on = on.stats.deterministic_view();
+    let off = off.stats.deterministic_view();
+    assert!(
+        off.cycles.decode > on.cycles.decode,
+        "no cache must cost more decode cycles"
+    );
+    // Only the decode stage may differ.
+    on.decode_hits = off.decode_hits;
+    on.decode_misses = off.decode_misses;
+    on.cycles.decode = off.cycles.decode;
+    assert_eq!(on, off);
 }

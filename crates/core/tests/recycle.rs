@@ -34,7 +34,7 @@ fn logistic_program(r: f64, iters: i64) -> fpvm_machine::Program {
 
 /// N back-to-back runs on ONE recycled engine must produce bit-identical
 /// deterministic stats (and guest output) to N fresh engines — nothing may
-/// leak through reused scratch, the arena slab, or the emulate cache.
+/// leak through reused scratch, the arena slab, or the trap cache.
 #[test]
 fn recycled_engine_matches_fresh_engines() {
     // Distinct programs per round so leaked cache entries can't hide.
@@ -79,7 +79,7 @@ fn recycled_engine_matches_fresh_engines() {
 }
 
 /// Without a recycle, re-running the *same* program on one engine retains
-/// the decode/emulate caches (the single-tenant optimization): the second
+/// the trap cache (the single-tenant optimization): the second
 /// run decodes nothing.
 #[test]
 fn same_program_rerun_retains_caches() {

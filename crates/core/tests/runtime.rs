@@ -127,7 +127,19 @@ fn decode_cache_hits_dominate_loops() {
     let (r2, _, _) = virt_run(&p, Vanilla, cfg);
     assert_eq!(r2.stats.decode_hits, 0);
     assert_eq!(r2.stats.decode_misses, r2.stats.fp_traps);
-    assert!(r2.cycles > report.cycles, "no cache must cost more cycles");
+    // The deterministic view, not raw `cycles`: those include emulate
+    // cycles converted from host ns.
+    let mut on = report.stats.deterministic_view();
+    let off = r2.stats.deterministic_view();
+    assert!(
+        off.cycles.total() > on.cycles.total(),
+        "no cache must cost more cycles"
+    );
+    // Only the decode stage may differ.
+    on.decode_hits = off.decode_hits;
+    on.decode_misses = off.decode_misses;
+    on.cycles.decode = off.cycles.decode;
+    assert_eq!(on, off);
 }
 
 #[test]
@@ -235,23 +247,6 @@ fn gc_collects_dead_temporaries() {
     let last = s.gc_records.last().unwrap();
     assert!(last.alive < 10, "alive after pass: {}", last.alive);
     assert!(fpvm.arena.live() < 10);
-}
-
-#[test]
-fn parallel_gc_agrees_with_serial() {
-    let p = logistic_program(300);
-    let mk = |parallel| FpvmConfig {
-        gc_epoch: 2_000,
-        gc_parallel: parallel,
-        ..FpvmConfig::default()
-    };
-    let (r1, o1, _) = virt_run(&p, Vanilla, mk(false));
-    let (r2, o2, _) = virt_run(&p, Vanilla, mk(true));
-    assert_eq!(o1, o2);
-    assert_eq!(r1.stats.boxes_created, r2.stats.boxes_created);
-    let freed1: usize = r1.stats.gc_records.iter().map(|r| r.freed).sum();
-    let freed2: usize = r2.stats.gc_records.iter().map(|r| r.freed).sum();
-    assert_eq!(freed1, freed2);
 }
 
 #[test]
@@ -388,22 +383,6 @@ fn math_interposition_routes_to_arith() {
         OutputEvent::F64(bits) => assert_eq!(f64::from_bits(*bits), 0.5f64.sin()),
         other => panic!("{other:?}"),
     }
-}
-
-#[test]
-fn always_demote_strawman_is_correct_but_never_gains_precision() {
-    let p = logistic_program(100);
-    let native = native_output(&p);
-    let cfg = FpvmConfig {
-        always_demote: true,
-        ..FpvmConfig::default()
-    };
-    // Even at 500-bit precision, demoting every result back to f64 makes
-    // the run identical to native — "obviates the goal" (§4.2).
-    let (report, virt, _) = virt_run(&p, BigFloatCtx::new(500), cfg);
-    assert_eq!(report.exit, ExitReason::Halted);
-    assert_eq!(native, virt);
-    assert_eq!(report.stats.boxes_created, 0);
 }
 
 #[test]

@@ -49,7 +49,7 @@
 //! ## Invalidation
 //!
 //! The cache is keyed by code offset and guarded by the same FNV-1a code
-//! fingerprint discipline as the decode/emulate caches: a mismatch (new
+//! fingerprint discipline as the engine's trap cache: a mismatch (new
 //! program, recycled machine with different code) resets every slot.
 //! [`Machine::patch_code`] invalidates surgically instead — any block
 //! whose byte span overlaps the patched range is dropped (blocks start at
@@ -62,8 +62,8 @@ use crate::exec::{Event, ExecResult, Fault, Machine};
 use crate::isa::Inst;
 use crate::mem::CODE_BASE;
 
-/// Default superblock formation cap (instructions per block).
-pub const DEFAULT_BLOCK_CAP: u32 = 64;
+/// Superblock formation cap (instructions per block).
+pub(crate) const DEFAULT_BLOCK_CAP: u32 = 64;
 
 /// Blocks shorter than this are refusals: dispatching a one-instruction
 /// block costs as much as stepping it.
@@ -110,8 +110,8 @@ enum Slot {
 }
 
 /// Host-side superblock cache counters (observability only — never part
-/// of the deterministic accounting; they change with cap, budget shape,
-/// and machine reuse).
+/// of the deterministic accounting; they change with budget shape and
+/// machine reuse).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockCacheStats {
     /// Blocks formed.
@@ -132,12 +132,11 @@ pub struct BlockCacheStats {
 }
 
 /// The superblock cache: one slot per code offset, guarded by the code
-/// fingerprint, the formation cap, and the cost model.
+/// fingerprint and the cost model.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BlockCache {
     slots: Vec<Slot>,
     fingerprint: u64,
-    cap: u32,
     /// Cost model the entries' costs were snapshotted under.
     cost: Option<CostModel>,
     /// Longest block byte span ever installed — bounds how far before a
@@ -148,18 +147,16 @@ pub(crate) struct BlockCache {
 
 impl BlockCache {
     /// Validate the cache against the current code identity; reset every
-    /// slot on any mismatch (different program, different cap, different
-    /// cost model). O(1) when nothing changed.
-    fn ensure(&mut self, code_len: usize, fingerprint: u64, cap: u32, cost: &CostModel) {
+    /// slot on any mismatch (different program, different cost model).
+    /// O(1) when nothing changed.
+    fn ensure(&mut self, code_len: usize, fingerprint: u64, cost: &CostModel) {
         let stale = self.slots.len() != code_len
             || self.fingerprint != fingerprint
-            || self.cap != cap
             || self.cost.as_ref() != Some(cost);
         if stale {
             self.slots.clear();
             self.slots.resize(code_len, Slot::Empty);
             self.fingerprint = fingerprint;
-            self.cap = cap;
             self.cost = Some(*cost);
             self.longest = 0;
         }
@@ -192,16 +189,6 @@ impl BlockCache {
 }
 
 impl Machine {
-    /// Configure superblock dispatch: enable/disable and set the formation
-    /// cap (clamped to ≥ 1; a cap of 1 cannot reach the two-instruction
-    /// formation minimum, so it degenerates to the stepped loop — the
-    /// passthrough ablation). Changing the cap re-keys the cache; it never
-    /// changes accounting.
-    pub fn set_superblocks(&mut self, enabled: bool, cap: u32) {
-        self.superblocks = enabled;
-        self.sb_cap = cap.max(1);
-    }
-
     /// Host-side superblock cache counters (see [`BlockCacheStats`]).
     pub fn superblock_stats(&self) -> BlockCacheStats {
         self.blocks.stats
@@ -219,7 +206,6 @@ impl Machine {
         cache.ensure(
             self.mem.code_bytes().len(),
             self.mem.code_fingerprint(),
-            self.sb_cap,
             &self.cost,
         );
         let ev = self.run_block_loop(&mut cache, budget);
@@ -244,7 +230,7 @@ impl Machine {
             }
             let off = (rip - CODE_BASE) as usize;
             if matches!(cache.slots[off], Slot::Empty) {
-                let slot = self.build_block(off, cache.cap);
+                let slot = self.build_block(off);
                 match &slot {
                     Slot::Block(b) => {
                         cache.stats.built += 1;
@@ -283,11 +269,11 @@ impl Machine {
     }
 
     /// Form a block starting at code offset `off` (or refuse).
-    fn build_block(&self, off: usize, cap: u32) -> Slot {
+    fn build_block(&self, off: usize) -> Slot {
         let code = self.mem.code_bytes();
         let mut entries: Vec<BlockEntry> = Vec::new();
         let mut cur = off;
-        while entries.len() < cap as usize && cur < code.len() {
+        while entries.len() < self.sb_cap as usize && cur < code.len() {
             let Ok((inst, len)) = decode(code, cur) else {
                 break;
             };
@@ -433,7 +419,7 @@ mod tests {
         let p = mixed_program();
         for cap in [1u32, 2, 3] {
             let mut mcap = fresh(&p, true);
-            mcap.set_superblocks(true, cap);
+            mcap.sb_cap = cap;
             let mut moff = fresh(&p, false);
             assert_eq!(mcap.run(1_000_000), Event::Halted);
             assert_eq!(moff.run(1_000_000), Event::Halted);

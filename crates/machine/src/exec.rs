@@ -146,7 +146,8 @@ pub struct Machine {
     /// [`crate::block`]). On by default; accounting is bit-identical
     /// on/off — the block engine may only change host wall time.
     pub superblocks: bool,
-    /// Superblock formation cap (see [`Machine::set_superblocks`]).
+    /// Superblock formation cap: [`crate::block::DEFAULT_BLOCK_CAP`],
+    /// lowered only by the block tests.
     pub(crate) sb_cap: u32,
     /// The superblock cache (offset-keyed, fingerprint-guarded).
     pub(crate) blocks: crate::block::BlockCache,

@@ -32,7 +32,7 @@ pub mod mxcsr;
 pub mod taint;
 
 pub use asm::{Asm, Label, Program};
-pub use block::{BlockCacheStats, DEFAULT_BLOCK_CAP};
+pub use block::BlockCacheStats;
 pub use cost::{CostModel, DeliveryMode};
 pub use encode::{decode, encode, encoded_len, DecodeError, MAX_INST_LEN};
 pub use exec::{Event, Fault, Machine, OutputEvent};
